@@ -86,11 +86,15 @@ private:
   }
 
   bool parseBlock() {
+    if (Depth == MaxParseDepth)
+      return fail("blocks nested deeper than " +
+                  std::to_string(MaxParseDepth) + " levels");
     if (!expect(TokKind::LBrace, "'{'"))
       return false;
-    if (!parseStatements(/*InsideBlock=*/true))
-      return false;
-    return expect(TokKind::RBrace, "'}'");
+    ++Depth;
+    bool OK = parseStatements(/*InsideBlock=*/true);
+    --Depth;
+    return OK && expect(TokKind::RBrace, "'}'");
   }
 
   /// cond := "*" | atom | "!" atom.  Returns true on success; sets
@@ -229,6 +233,7 @@ private:
   Lexer &Lex;
   ProgramBuilder &B;
   std::string &Error;
+  unsigned Depth = 0; ///< Blocks open around the current statement.
 };
 
 } // namespace

@@ -3,12 +3,7 @@
 #include "net/Conn.h"
 
 #include <cerrno>
-#include <cstring>
-#include <utility>
 
-#include <netdb.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
@@ -23,7 +18,8 @@ bool parseHostPort(const std::string &Spec, std::string *Host,
     return false;
   std::string H = Spec.substr(0, Colon);
   std::string P = Spec.substr(Colon + 1);
-  if (P.empty() || P.find_first_not_of("0123456789") != std::string::npos)
+  if (P.empty() || P.size() > 5 ||
+      P.find_first_not_of("0123456789") != std::string::npos)
     return false;
   unsigned long V = std::stoul(P);
   if (V > 65535)
@@ -31,57 +27,6 @@ bool parseHostPort(const std::string &Spec, std::string *Host,
   *Host = H.empty() ? std::string("127.0.0.1") : H;
   *Port = uint16_t(V);
   return true;
-}
-
-Conn::Conn(Conn &&O) noexcept
-    : Fd(std::exchange(O.Fd, -1)), Buf(std::move(O.Buf)),
-      SawEof(O.SawEof), MaxLineBytes(O.MaxLineBytes) {}
-
-Conn &Conn::operator=(Conn &&O) noexcept {
-  if (this != &O) {
-    close();
-    Fd = std::exchange(O.Fd, -1);
-    Buf = std::move(O.Buf);
-    SawEof = O.SawEof;
-    MaxLineBytes = O.MaxLineBytes;
-  }
-  return *this;
-}
-
-Conn Conn::connectTo(const std::string &Host, uint16_t Port,
-                     std::string *Error) {
-  struct addrinfo Hints = {};
-  Hints.ai_family = AF_INET;
-  Hints.ai_socktype = SOCK_STREAM;
-  struct addrinfo *Res = nullptr;
-  std::string PortStr = std::to_string(Port);
-  int Rc = ::getaddrinfo(Host.c_str(), PortStr.c_str(), &Hints, &Res);
-  if (Rc != 0) {
-    if (Error)
-      *Error = "cannot resolve " + Host + ": " + ::gai_strerror(Rc);
-    return Conn();
-  }
-  int Fd = -1;
-  for (struct addrinfo *A = Res; A; A = A->ai_next) {
-    Fd = ::socket(A->ai_family, A->ai_socktype | SOCK_CLOEXEC, A->ai_protocol);
-    if (Fd < 0)
-      continue;
-    if (::connect(Fd, A->ai_addr, A->ai_addrlen) == 0)
-      break;
-    ::close(Fd);
-    Fd = -1;
-  }
-  ::freeaddrinfo(Res);
-  if (Fd < 0) {
-    if (Error)
-      *Error = "cannot connect to " + Host + ":" + PortStr + ": " +
-               std::strerror(errno);
-    return Conn();
-  }
-  // The protocol is request/response lines; latency beats batching.
-  int One = 1;
-  ::setsockopt(Fd, IPPROTO_TCP, TCP_NODELAY, &One, sizeof(One));
-  return Conn(Fd);
 }
 
 void Conn::setReadTimeoutMs(unsigned Ms) {
@@ -148,11 +93,6 @@ bool Conn::writeAll(const std::string &Data) {
 
 bool Conn::writeLine(const std::string &Data) {
   return writeAll(Data + "\n");
-}
-
-void Conn::shutdownBoth() {
-  if (Fd >= 0)
-    ::shutdown(Fd, SHUT_RDWR);
 }
 
 void Conn::close() {

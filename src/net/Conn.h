@@ -45,18 +45,8 @@ public:
   explicit Conn(int Fd) : Fd(Fd) {}
   ~Conn() { close(); }
 
-  Conn(Conn &&O) noexcept;
-  Conn &operator=(Conn &&O) noexcept;
   Conn(const Conn &) = delete;
   Conn &operator=(const Conn &) = delete;
-
-  /// Connects to HOST:PORT (numeric host or resolvable name).  Returns an
-  /// invalid Conn and sets \p Error on failure.
-  static Conn connectTo(const std::string &Host, uint16_t Port,
-                        std::string *Error);
-
-  bool valid() const { return Fd >= 0; }
-  int fd() const { return Fd; }
 
   /// Applies SO_RCVTIMEO; 0 disables the timeout.
   void setReadTimeoutMs(unsigned Ms);
@@ -76,10 +66,6 @@ public:
 
   /// Convenience: Data + '\n' in one write.
   bool writeLine(const std::string &Data);
-
-  /// shutdown(2) both directions -- wakes a reader blocked in another
-  /// thread (the listener's shutdown path); the fd stays owned.
-  void shutdownBoth();
 
   void close();
 

@@ -275,63 +275,6 @@ std::string cai::service::statsToJsonLine(const ResultCacheStats &CS,
   return Line.dump();
 }
 
-std::string cai::service::requestToJsonLine(const Request &Req) {
-  Json Line = Json::object();
-  switch (Req.Command) {
-  case Request::Kind::Stats:
-    return Line.set("cmd", Json::str("stats")).dump();
-  case Request::Kind::Shutdown:
-    return Line.set("cmd", Json::str("shutdown")).dump();
-  case Request::Kind::Health:
-    return Line.set("cmd", Json::str("health")).dump();
-  case Request::Kind::Telemetry:
-    return Line.set("cmd", Json::str("telemetry")).dump();
-  case Request::Kind::Analyze:
-    break;
-  }
-  if (Req.Spec.Edit)
-    Line.set("cmd", Json::str("analyze_edit"));
-  Line.set("id", Json::integer(static_cast<int64_t>(Req.Spec.Id)));
-  if (!Req.Spec.Name.empty())
-    Line.set("name", Json::str(Req.Spec.Name));
-  if (!Req.Spec.ProgramId.empty())
-    Line.set("program_id", Json::str(Req.Spec.ProgramId));
-  Line.set("program", Json::str(Req.Spec.ProgramText));
-  const JobOptions Defaults;
-  const JobOptions &O = Req.Spec.Opts;
-  if (O.DomainSpec != Defaults.DomainSpec)
-    Line.set("domain", Json::str(O.DomainSpec));
-  Json Options = Json::object();
-  if (!O.Encode.empty())
-    Options.set("encode", Json::str(O.Encode));
-  if (O.WideningDelay != Defaults.WideningDelay)
-    Options.set("widening_delay", Json::integer(O.WideningDelay));
-  if (O.NarrowingPasses != Defaults.NarrowingPasses)
-    Options.set("narrowing_passes", Json::integer(O.NarrowingPasses));
-  if (O.SemanticConvergence != Defaults.SemanticConvergence)
-    Options.set("semantic_convergence",
-                Json::boolean(O.SemanticConvergence));
-  if (O.Memoize != Defaults.Memoize)
-    Options.set("memoize", Json::boolean(O.Memoize));
-  // SIZE_MAX means "build default" and has no wire spelling (the wire
-  // value 0 means unlimited), so only a real cap is forwarded.
-  if (O.PolyMaxRows != Defaults.PolyMaxRows)
-    Options.set("poly_max_rows",
-                Json::integer(static_cast<int64_t>(O.PolyMaxRows)));
-  if (O.Lint != Defaults.Lint)
-    Options.set("lint", Json::boolean(O.Lint));
-  if (!O.LintChecks.empty())
-    Options.set("lint_checks", Json::str(O.LintChecks));
-  if (O.TimeoutMs != Defaults.TimeoutMs)
-    Options.set("timeout_ms",
-                Json::integer(static_cast<int64_t>(O.TimeoutMs)));
-  if (O.TestCrash)
-    Options.set("test_crash", Json::boolean(true));
-  if (!Options.fields().empty())
-    Line.set("options", std::move(Options));
-  return Line.dump();
-}
-
 std::string cai::service::healthToJsonLine(unsigned Workers,
                                            uint64_t QueueDepth,
                                            uint64_t JobsFinished,

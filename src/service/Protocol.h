@@ -87,14 +87,6 @@ std::string statsToJsonLine(const ResultCacheStats &CS,
                             uint64_t JobsCompleted,
                             const persist::PersistStats *PS = nullptr);
 
-/// Re-serializes \p Req as one request line the server's parseRequest()
-/// accepts, options included (only non-default ones are emitted).  The
-/// shard router uses this to forward requests it had to parse for
-/// fingerprinting; Analyze requests must carry inline program text
-/// (resolve ProgramFile first -- file paths are meaningless across
-/// process boundaries).
-std::string requestToJsonLine(const Request &Req);
-
 /// The `health`/`ping` reply: one JSON line (no newline) describing
 /// liveness without draining the queue -- unlike `stats`, asking does not
 /// perturb scheduling, which is what makes it a usable liveness probe.

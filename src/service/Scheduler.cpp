@@ -4,12 +4,9 @@
 
 #include "analysis/Analyzer.h"
 #include "domains/poly/Polyhedron.h"
-#include "encodings/Encodings.h"
-#include "ir/ProgramParser.h"
 #include "obs/EventLog.h"
-#include "service/DomainFactory.h"
+#include "service/Driver.h"
 #include "service/Fingerprint.h"
-#include "term/TermContext.h"
 
 #include <algorithm>
 #include <filesystem>
@@ -58,63 +55,26 @@ JobResult AnalysisScheduler::runJobIsolated(const JobSpec &Spec,
     if (Spec.Opts.TestCrash)
       throw std::runtime_error("deliberate crash (TestCrash test hook)");
 
-    if (!Spec.Opts.Encode.empty() && Spec.Opts.Encode != "comm" &&
-        Spec.Opts.Encode != "arity") {
-      R.Status = JobStatus::BadDomain;
-      R.Error = "unknown encode '" + Spec.Opts.Encode + "'";
-      return R;
-    }
-
     // Everything below is built fresh per job: the term context, the
     // domain tree (with its memoization state), and the program.  No
     // state outlives the job, so results cannot depend on which worker
     // ran it or what ran before.
-    TermContext Ctx;
-    // Pre-intern the theory predicates so the parser recognizes them even
-    // if the chosen domains do not mention them (mirrors cai-analyze).
-    Ctx.getPredicate("even", 1);
-    Ctx.getPredicate("odd", 1);
-    Ctx.getPredicate("positive", 1);
-    Ctx.getPredicate("negative", 1);
-
-    DomainFactory Factory(Ctx);
-    LogicalLattice *Domain = Factory.build(Spec.Opts.DomainSpec);
-    if (!Domain) {
-      R.Status = JobStatus::BadDomain;
-      R.Error = Factory.error();
+    ProgramSetup Setup;
+    ProgramSetup::Status SS =
+        Setup.prepare(Spec.Opts.DomainSpec, Spec.Opts.Encode,
+                      Spec.ProgramText, Phases ? &Phases->ParseUs : nullptr);
+    if (Setup.Domain)
+      R.Domain = Setup.Domain->name();
+    if (SS != ProgramSetup::Status::Ok) {
+      R.Status = SS == ProgramSetup::Status::BadDomain ? JobStatus::BadDomain
+                                                       : JobStatus::ParseError;
+      R.Error = Setup.error();
       return R;
     }
-    R.Domain = Domain->name();
-
-    // Phase timing is telemetry-only: clock reads happen solely when a
-    // JobPhases out-param asks for them, keeping the telemetry-off path
-    // free of extra syscalls.
-    auto ParseBegin = Phases ? std::chrono::steady_clock::now()
-                             : std::chrono::steady_clock::time_point();
-    std::string ParseError;
-    std::optional<Program> P =
-        parseProgram(Ctx, Spec.ProgramText, &ParseError);
-    if (!P) {
-      R.Status = JobStatus::ParseError;
-      R.Error = ParseError;
-      return R;
-    }
-
-    Program Analyzed = *P;
-    if (Spec.Opts.Encode == "comm") {
-      TermEncoder Enc(Ctx, TermEncoder::Scheme::Commutative);
-      Analyzed = Enc.encode(Analyzed);
-    } else if (Spec.Opts.Encode == "arity") {
-      TermEncoder Enc(Ctx, TermEncoder::Scheme::ArityReduction);
-      Analyzed = Enc.encode(Analyzed);
-    }
-    if (Phases) {
-      Phases->ParseUs = static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              std::chrono::steady_clock::now() - ParseBegin)
-              .count());
+    if (Phases)
       Phases->HasParse = true;
-    }
+    LogicalLattice *Domain = Setup.Domain;
+    const Program &Analyzed = Setup.Prog;
 
     AnalyzerOptions AOpts;
     AOpts.WideningDelay = Spec.Opts.WideningDelay;
@@ -171,7 +131,7 @@ JobResult AnalysisScheduler::runJobIsolated(const JobSpec &Spec,
                               : std::chrono::steady_clock::time_point();
       lint::LintOptions LOpts;
       LOpts.Checks = Spec.Opts.LintChecks;
-      R.Findings = lint::runLint(Ctx, Analyzed, AR, *Domain, LOpts);
+      R.Findings = lint::runLint(Setup.Ctx, Analyzed, AR, *Domain, LOpts);
       R.Linted = true;
       if (Phases) {
         Phases->LintUs = static_cast<uint64_t>(

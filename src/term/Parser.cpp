@@ -104,6 +104,16 @@ public:
       : Ctx(Ctx), Lex(Lex), Error(Error) {}
 
   std::optional<Term> parseSum() {
+    if (Depth == MaxParseDepth)
+      return fail("expression nested deeper than " +
+                  std::to_string(MaxParseDepth) + " levels");
+    ++Depth;
+    std::optional<Term> T = parseSumAt();
+    --Depth;
+    return T;
+  }
+
+  std::optional<Term> parseSumAt() {
     bool Negate = false;
     while (Lex.peek().Kind == TokKind::Minus) {
       Lex.next();
@@ -276,6 +286,7 @@ private:
   TermContext &Ctx;
   Lexer &Lex;
   std::string &Error;
+  unsigned Depth = 0; ///< parseSum calls in progress.
 };
 
 } // namespace

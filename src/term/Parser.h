@@ -87,6 +87,11 @@ private:
   Token Current{TokKind::End, "", 0};
 };
 
+/// Bound on syntactic nesting: parenthesized and function-argument
+/// subterms in the term parser, blocks in the program parser.  Deeper
+/// input is a parse error, not a stack overflow.
+constexpr unsigned MaxParseDepth = 1000;
+
 /// Parses a complete term from \p Text.  On failure returns std::nullopt and
 /// sets \p Error.
 std::optional<Term> parseTerm(TermContext &Ctx, std::string_view Text,

@@ -17,6 +17,7 @@
 #include "ir/ProgramParser.h"
 #include "product/DirectProduct.h"
 #include "product/LogicalProduct.h"
+#include "service/Driver.h"
 #include "term/Printer.h"
 #include "workloads/Workloads.h"
 
@@ -24,8 +25,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
 using namespace cai;
 
@@ -131,14 +130,12 @@ TEST(AnalyzerCacheTest, DifferentialPolyOverTestdata) {
 
   enum class Spec { Poly, PolyUF, PolyAffine };
   for (const fs::path &File : Files) {
-    std::ifstream In(File);
-    ASSERT_TRUE(In) << File;
-    std::stringstream Buffer;
-    Buffer << In.rdbuf();
+    std::string Text;
+    ASSERT_TRUE(service::readFile(File, Text)) << File;
     for (Spec S : {Spec::Poly, Spec::PolyUF, Spec::PolyAffine}) {
       TermContext Ctx;
       std::string ParseError;
-      std::optional<Program> P = parseProgram(Ctx, Buffer.str(), &ParseError);
+      std::optional<Program> P = parseProgram(Ctx, Text, &ParseError);
       ASSERT_TRUE(P) << File << ": " << ParseError;
 
       PolyDomain Poly(Ctx);
@@ -172,14 +169,12 @@ TEST(AnalyzerCacheTest, DifferentialTestdataUnderContractChecks) {
 
   enum class Spec { Poly, PolyUF, PolyAffine };
   for (const fs::path &File : Files) {
-    std::ifstream In(File);
-    ASSERT_TRUE(In) << File;
-    std::stringstream Buffer;
-    Buffer << In.rdbuf();
+    std::string Text;
+    ASSERT_TRUE(service::readFile(File, Text)) << File;
     for (Spec S : {Spec::Poly, Spec::PolyUF, Spec::PolyAffine}) {
       TermContext Ctx;
       std::string ParseError;
-      std::optional<Program> P = parseProgram(Ctx, Buffer.str(), &ParseError);
+      std::optional<Program> P = parseProgram(Ctx, Text, &ParseError);
       ASSERT_TRUE(P) << File << ": " << ParseError;
 
       PolyDomain Poly(Ctx);

@@ -21,6 +21,7 @@
 #include "ir/ProgramParser.h"
 #include "ir/WTO.h"
 #include "service/DomainFactory.h"
+#include "service/Driver.h"
 #include "service/Fingerprint.h"
 #include "service/Protocol.h"
 #include "service/Scheduler.h"
@@ -35,13 +36,6 @@ using namespace cai;
 using namespace cai::service;
 
 namespace {
-
-void registerTheoryPredicates(TermContext &Ctx) {
-  Ctx.getPredicate("even", 1);
-  Ctx.getPredicate("odd", 1);
-  Ctx.getPredicate("positive", 1);
-  Ctx.getPredicate("negative", 1);
-}
 
 // A program whose WTO has several top-level elements: straight-line
 // prefix, two independent loops, straight-line suffix.
@@ -98,7 +92,7 @@ assert(0 <= y);
 
 TEST(StateCodec, RoundTripsAcrossContexts) {
   TermContext A;
-  registerTheoryPredicates(A);
+  service::internTheoryPredicates(A);
   std::string Error;
   std::optional<Program> P = parseProgram(A, R"(
 x := -3;
@@ -122,7 +116,7 @@ assert(y = F(x));
   // registered, re-encode, and require identical bytes: the encoding is
   // context-free and canonical.
   TermContext B;
-  registerTheoryPredicates(B);
+  service::internTheoryPredicates(B);
   std::string E2;
   ASSERT_TRUE(parseProgram(B, R"(
 x := -3;
@@ -163,7 +157,7 @@ struct Fingerprinted {
   ComponentFingerprints FP;
 
   explicit Fingerprinted(const char *Text) {
-    registerTheoryPredicates(Ctx);
+    service::internTheoryPredicates(Ctx);
     std::string Error;
     P = parseProgram(Ctx, Text, &Error);
     EXPECT_TRUE(P) << Error;
@@ -239,7 +233,7 @@ void expectIdentical(const TermContext &CtxA, const AnalysisResult &A,
 AnalysisResult analyze(TermContext &Ctx, const char *Text,
                        const std::string &Spec, bool Memoize,
                        const FixpointSnapshot *In, FixpointSnapshot *Out) {
-  registerTheoryPredicates(Ctx);
+  service::internTheoryPredicates(Ctx);
   std::string Error;
   std::optional<Program> P = parseProgram(Ctx, Text, &Error);
   EXPECT_TRUE(P) << Error;

@@ -26,7 +26,7 @@
 #include "interp/ProgramGen.h"
 #include "ir/ProgramParser.h"
 #include "lint/Lint.h"
-#include "service/DomainFactory.h"
+#include "service/Driver.h"
 #include "term/Printer.h"
 
 #include <gtest/gtest.h>
@@ -42,19 +42,12 @@ namespace {
 /// traces and assert no hard finding contradicts what actually ran.
 void checkProgram(const std::string &Source, const std::string &Spec,
                   uint64_t ProgramSeed, unsigned Traces) {
-  TermContext Ctx;
-  Ctx.getPredicate("even", 1);
-  Ctx.getPredicate("odd", 1);
-  Ctx.getPredicate("positive", 1);
-  Ctx.getPredicate("negative", 1);
-
-  service::DomainFactory Factory(Ctx);
-  LogicalLattice *Domain = Factory.build(Spec);
-  ASSERT_NE(Domain, nullptr) << Factory.error();
-
-  std::string Err;
-  std::optional<Program> P = parseProgram(Ctx, Source, &Err);
-  ASSERT_TRUE(P.has_value()) << Err << "\n" << Source;
+  service::ProgramSetup S;
+  ASSERT_EQ(S.prepare(Spec, "", Source), service::ProgramSetup::Status::Ok)
+      << S.error() << "\n" << Source;
+  TermContext &Ctx = S.Ctx;
+  const Program *P = &S.Prog;
+  LogicalLattice *Domain = S.Domain;
 
   AnalysisResult R = Analyzer(*Domain).run(*P);
   if (!R.Converged)

@@ -14,7 +14,7 @@
 #include "ir/WTO.h"
 #include "lint/Dataflow.h"
 #include "lint/Lint.h"
-#include "service/DomainFactory.h"
+#include "service/Driver.h"
 #include "service/Json.h"
 
 #include <gtest/gtest.h>
@@ -28,24 +28,16 @@ std::vector<lint::LintFinding> lintSource(const std::string &Src,
                                           const std::string &Spec,
                                           const std::string &Checks = "",
                                           bool Memoize = true) {
-  TermContext Ctx;
-  Ctx.getPredicate("even", 1);
-  Ctx.getPredicate("odd", 1);
-  Ctx.getPredicate("positive", 1);
-  Ctx.getPredicate("negative", 1);
-  service::DomainFactory Factory(Ctx);
-  LogicalLattice *Domain = Factory.build(Spec);
-  EXPECT_NE(Domain, nullptr) << Factory.error();
-  std::string Err;
-  std::optional<Program> P = parseProgram(Ctx, Src, &Err);
-  EXPECT_TRUE(P.has_value()) << Err;
+  service::ProgramSetup S;
+  EXPECT_EQ(S.prepare(Spec, "", Src), service::ProgramSetup::Status::Ok)
+      << S.error();
   AnalyzerOptions Opts;
   Opts.Memoize = Memoize;
-  AnalysisResult R = Analyzer(*Domain, Opts).run(*P);
+  AnalysisResult R = Analyzer(*S.Domain, Opts).run(S.Prog);
   EXPECT_TRUE(R.Converged);
   lint::LintOptions LOpts;
   LOpts.Checks = Checks;
-  return lint::runLint(Ctx, *P, R, *Domain, LOpts);
+  return lint::runLint(S.Ctx, S.Prog, R, *S.Domain, LOpts);
 }
 
 std::set<std::string> rules(const std::vector<lint::LintFinding> &Fs) {
@@ -222,19 +214,16 @@ TEST(LintRules, OutOfBoundsIndexTiers) {
 }
 
 TEST(LintRules, UnconvergedRunYieldsNoFindings) {
-  TermContext Ctx;
-  service::DomainFactory Factory(Ctx);
-  LogicalLattice *Domain = Factory.build("poly");
-  ASSERT_NE(Domain, nullptr);
-  std::optional<Program> P = parseProgram(
-      Ctx, "x := 0;\nwhile (x <= 9) {\n  x := x + 1;\n}\ny := 7;\n", nullptr);
-  ASSERT_TRUE(P.has_value());
+  service::ProgramSetup S;
+  ASSERT_EQ(S.prepare("poly", "",
+                      "x := 0;\nwhile (x <= 9) {\n  x := x + 1;\n}\ny := 7;\n"),
+            service::ProgramSetup::Status::Ok);
   AnalyzerOptions Opts;
   Opts.MaxUpdatesPerNode = 1; // Forces a truncated fixpoint on the loop.
-  AnalysisResult R = Analyzer(*Domain, Opts).run(*P);
+  AnalysisResult R = Analyzer(*S.Domain, Opts).run(S.Prog);
   ASSERT_FALSE(R.Converged);
   // y:=7 would be a dead store, but untrusted invariants produce nothing.
-  EXPECT_TRUE(lint::runLint(Ctx, *P, R, *Domain).empty());
+  EXPECT_TRUE(lint::runLint(S.Ctx, S.Prog, R, *S.Domain).empty());
 }
 
 // --- Determinism ---------------------------------------------------------

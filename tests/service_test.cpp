@@ -13,6 +13,7 @@
 #include "ir/ProgramParser.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
+#include "service/Driver.h"
 #include "service/Fingerprint.h"
 #include "service/Protocol.h"
 #include "service/ResultCache.h"
@@ -23,7 +24,6 @@
 #include <algorithm>
 #include <atomic>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 
 using namespace cai;
@@ -310,10 +310,7 @@ TEST(ProgramGen, NestedCompositionAppearsAndParses) {
                  Text.find("G(F(") != std::string::npos ||
                  Text.find("G(G(") != std::string::npos;
     TermContext Ctx;
-    Ctx.getPredicate("even", 1);
-    Ctx.getPredicate("odd", 1);
-    Ctx.getPredicate("positive", 1);
-    Ctx.getPredicate("negative", 1);
+    internTheoryPredicates(Ctx);
     std::string Error;
     EXPECT_TRUE(parseProgram(Ctx, Text, &Error).has_value())
         << "seed " << Seed << ": " << Error << "\n"
@@ -695,12 +692,9 @@ TEST(Telemetry, SlowJobDropsAPerfettoLoadableExemplar) {
     EXPECT_EQ(Recent->items()[0].get("id")->asInt(), 7);
     // The exemplar is a loadable Chrome trace naming the slow job's id.
     fs::path Trace = Recent->items()[0].get("trace")->asString();
-    ASSERT_TRUE(fs::exists(Trace)) << Trace;
-    std::ifstream In(Trace);
-    std::stringstream Buf;
-    Buf << In.rdbuf();
-    std::string Error;
-    std::optional<Json> Doc = Json::parse(Buf.str(), &Error);
+    std::string Text, Error;
+    ASSERT_TRUE(readFile(Trace, Text)) << Trace;
+    std::optional<Json> Doc = Json::parse(Text, &Error);
     ASSERT_TRUE(Doc.has_value()) << Error;
     const Json *Events = Doc->get("traceEvents");
     ASSERT_NE(Events, nullptr);
@@ -709,5 +703,61 @@ TEST(Telemetry, SlowJobDropsAPerfettoLoadableExemplar) {
   fs::remove_all(Dir);
 }
 
+// ---- The tools' option table ---------------------------------------------
+
+/// Parses one `--flag=value` argument through \p T; the exit code, or -1
+/// when parsing carries on.
+int parseOne(OptionTable &T, const std::string &Arg) {
+  std::string Copy = Arg;
+  char Name[] = "tool";
+  char *Argv[] = {Name, Copy.data()};
+  std::optional<int> Exit = T.parse(2, Argv, nullptr);
+  return Exit ? *Exit : -1;
+}
+
+TEST(OptionTable, NumbersAreRangeCheckedNeverTruncated) {
+  uint64_t Wide = 7;
+  unsigned Narrow = 7;
+  OptionTable T("");
+  T.number("wide", Wide, 1);
+  T.number("narrow", Narrow);
+  EXPECT_EQ(parseOne(T, "--wide=18446744073709551615"), -1);
+  EXPECT_EQ(Wide, UINT64_MAX);
+  EXPECT_EQ(parseOne(T, "--wide=18446744073709551616"), 2); // 2^64.
+  EXPECT_EQ(parseOne(T, "--wide=99999999999999999999999"), 2);
+  EXPECT_EQ(parseOne(T, "--wide=0"), 2); // Below Min.
+  EXPECT_EQ(parseOne(T, "--wide=+1"), 2);
+  EXPECT_EQ(parseOne(T, "--wide="), 2);
+  EXPECT_EQ(parseOne(T, "--wide"), 2);
+  EXPECT_EQ(Wide, UINT64_MAX); // Rejected values leave the target alone.
+  EXPECT_EQ(parseOne(T, "--narrow=4294967295"), -1);
+  EXPECT_EQ(Narrow, UINT32_MAX);
+  EXPECT_EQ(parseOne(T, "--narrow=4294967297"), 2); // 2^32 + 1.
+  EXPECT_EQ(Narrow, UINT32_MAX);
+}
+
+TEST(OptionTable, ChoicesPathsFlagsAndBareValues) {
+  std::string Format = "json", Out, Sel = "unset";
+  bool Flag = false;
+  OptionTable T("");
+  T.choice("format", Format, {"json", "prom"});
+  T.path("out", Out);
+  T.flag("flag", Flag);
+  T.text("sel", Sel, /*Bare=*/true);
+  EXPECT_EQ(parseOne(T, "--format=prom"), -1);
+  EXPECT_EQ(Format, "prom");
+  EXPECT_EQ(parseOne(T, "--format=xml"), 2);
+  EXPECT_EQ(parseOne(T, "--out="), 2);
+  EXPECT_EQ(parseOne(T, "--flag=1"), 2);
+  EXPECT_EQ(parseOne(T, "--nosuch"), 2);
+  EXPECT_EQ(parseOne(T, "positional"), 2); // No positionals accepted.
+  EXPECT_EQ(parseOne(T, "--help"), 0);
+  EXPECT_FALSE(T.given("sel"));
+  EXPECT_EQ(parseOne(T, "--sel"), -1);
+  EXPECT_TRUE(T.given("sel"));
+  EXPECT_EQ(Sel, "unset");
+  EXPECT_EQ(parseOne(T, "--flag"), -1);
+  EXPECT_TRUE(Flag);
+}
 
 } // namespace

@@ -22,26 +22,18 @@
 #include "interp/ProgramGen.h"
 #include "ir/ProgramParser.h"
 #include "product/LogicalProduct.h"
+#include "service/Driver.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
 using namespace cai;
 using namespace cai::interp;
 
 namespace {
-
-void registerTheoryPredicates(TermContext &Ctx) {
-  Ctx.getPredicate("even", 1);
-  Ctx.getPredicate("odd", 1);
-  Ctx.getPredicate("positive", 1);
-  Ctx.getPredicate("negative", 1);
-}
 
 /// Builds the four audited domain specs over \p Ctx.  The instances live
 /// in \p Owned; the returned pointers borrow from it.  The arrays product
@@ -101,14 +93,12 @@ TEST(SoundnessOracleTest, TestdataCleanUnderEverySpec) {
   ASSERT_FALSE(Files.empty());
 
   for (const fs::path &File : Files) {
-    std::ifstream In(File);
-    ASSERT_TRUE(In) << File;
-    std::stringstream Buffer;
-    Buffer << In.rdbuf();
+    std::string Text;
+    ASSERT_TRUE(service::readFile(File, Text)) << File;
     TermContext Ctx;
-    registerTheoryPredicates(Ctx);
+    service::internTheoryPredicates(Ctx);
     std::string Error;
-    std::optional<Program> P = parseProgram(Ctx, Buffer.str(), &Error);
+    std::optional<Program> P = parseProgram(Ctx, Text, &Error);
     ASSERT_TRUE(P) << File << ": " << Error;
 
     Specs S(Ctx);
@@ -141,7 +131,7 @@ TEST(SoundnessOracleTest, GeneratedProgramSweep) {
     std::string Text = generateProgram(GOpts);
 
     TermContext Ctx;
-    registerTheoryPredicates(Ctx);
+    service::internTheoryPredicates(Ctx);
     std::string Error;
     std::optional<Program> P = parseProgram(Ctx, Text, &Error);
     ASSERT_TRUE(P) << "seed " << Seed << ": " << Error << "\n" << Text;

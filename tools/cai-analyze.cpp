@@ -83,285 +83,144 @@
 #include "check/CheckedLattice.h"
 #include "check/FaultInjection.h"
 #include "domains/poly/Polyhedron.h"
-#include "encodings/Encodings.h"
 #include "interp/Oracle.h"
-#include "ir/ProgramParser.h"
 #include "lint/Lint.h"
-#include "service/DomainFactory.h"
 #include "obs/Metrics.h"
 #include "obs/Provenance.h"
 #include "obs/Trace.h"
+#include "service/Driver.h"
 #include "term/Printer.h"
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <vector>
 
 using namespace cai;
+using namespace cai::service;
 
 namespace {
 
-void usage() {
-  std::fprintf(
-      stderr,
-      "usage: cai-analyze [--domain=<spec>] [--invariants] [--stats]\n"
-      "                   [--encode=comm|arity] [--widening-delay=N]\n"
-      "                   [--timeout-ms=N] [--poly-max-rows=N] [--no-memo]\n"
-      "                   [--trace-out=FILE] [--metrics-out=FILE]\n"
-      "                   [--metrics-format=json|prom]\n"
-      "                   [--explain[=<label|node>]]\n"
-      "                   [--check[=oracle|contracts|all]] [--check-traces=N]\n"
-      "                   [--check-seed=N] [--test-break-join[=N]]\n"
-      "                   [--lint[=checks]] [--lint-format=text|sarif]\n"
-      "                   [--lint-baseline=FILE]\n"
-      "                   <program.imp>\n"
-      "domain specs: affine poly uf parity sign lists arrays\n"
-      "              direct:<a>,<b>  reduced:<a>,<b>  logical:<a>,<b>\n"
-      "              nested: logical:(logical:affine,uf),lists\n"
-      "exit codes:   0 all assertions verified and fixpoint converged\n"
-      "              1 some assertion failed or fixpoint did not converge\n"
-      "              2 usage, parse, or I/O error\n"
-      "              3 --check found a soundness or contract violation\n"
-      "              4 --timeout-ms expired before convergence\n");
-}
+const char *const Usage =
+    "usage: cai-analyze [--domain=<spec>] [--invariants] [--stats]\n"
+    "                   [--encode=comm|arity] [--widening-delay=N]\n"
+    "                   [--timeout-ms=N] [--poly-max-rows=N] [--no-memo]\n"
+    "                   [--trace-out=FILE] [--metrics-out=FILE]\n"
+    "                   [--metrics-format=json|prom]\n"
+    "                   [--explain[=<label|node>]]\n"
+    "                   [--check[=oracle|contracts|all]] [--check-traces=N]\n"
+    "                   [--check-seed=N] [--test-break-join[=N]]\n"
+    "                   [--lint[=checks]] [--lint-format=text|sarif]\n"
+    "                   [--lint-baseline=FILE]\n"
+    "                   <program.imp>\n"
+    "domain specs: affine poly uf parity sign lists arrays\n"
+    "              direct:<a>,<b>  reduced:<a>,<b>  logical:<a>,<b>\n"
+    "              nested: logical:(logical:affine,uf),lists\n"
+    "exit codes:   0 all assertions verified and fixpoint converged\n"
+    "              1 some assertion failed or fixpoint did not converge\n"
+    "              2 usage, parse, or I/O error\n"
+    "              3 --check found a soundness or contract violation\n"
+    "              4 --timeout-ms expired before convergence\n";
 
 } // namespace
 
 int main(int Argc, char **Argv) {
   std::string DomainSpec = "logical:poly,uf";
   std::string Encode;
-  std::string Path;
   std::string TraceOut;
   std::string MetricsOut;
   std::string MetricsFormat = "json";
   std::string ExplainSel;
   bool ShowInvariants = false;
   bool ShowStats = false;
-  bool Explain = false;
   bool CheckContracts = false;
   bool CheckOracle = false;
-  bool BreakJoin = false;
   unsigned BreakJoinFrom = 0;
-  bool Lint = false;
   std::string LintFormat = "text";
   std::string LintBaseline;
   lint::LintOptions LintOpts;
   uint64_t TimeoutMs = 0;
+  size_t PolyMaxRows = polyRowCap();
   interp::OracleOptions OracleOpts;
   AnalyzerOptions Opts;
 
-  for (int I = 1; I < Argc; ++I) {
-    std::string Arg = Argv[I];
-    if (Arg.rfind("--domain=", 0) == 0) {
-      DomainSpec = Arg.substr(9);
-    } else if (Arg == "--invariants") {
-      ShowInvariants = true;
-    } else if (Arg.rfind("--encode=", 0) == 0) {
-      Encode = Arg.substr(9);
-    } else if (Arg.rfind("--trace-out=", 0) == 0) {
-      TraceOut = Arg.substr(12);
-      if (TraceOut.empty()) {
-        std::fprintf(stderr, "error: --trace-out expects a file name\n");
-        return 2;
-      }
-    } else if (Arg.rfind("--metrics-out=", 0) == 0) {
-      MetricsOut = Arg.substr(14);
-      if (MetricsOut.empty()) {
-        std::fprintf(stderr, "error: --metrics-out expects a file name\n");
-        return 2;
-      }
-    } else if (Arg.rfind("--metrics-format=", 0) == 0) {
-      MetricsFormat = Arg.substr(17);
-      if (MetricsFormat != "json" && MetricsFormat != "prom") {
-        std::fprintf(stderr,
-                     "error: --metrics-format expects 'json' or 'prom'\n");
-        return 2;
-      }
-    } else if (Arg == "--explain") {
-      Explain = true;
-    } else if (Arg.rfind("--explain=", 0) == 0) {
-      Explain = true;
-      ExplainSel = Arg.substr(10);
-    } else if (Arg == "--check" || Arg == "--check=all") {
+  OptionTable T(Usage);
+  T.text("domain", DomainSpec);
+  T.flag("invariants", ShowInvariants);
+  T.choice("encode", Encode, encodeNames());
+  T.path("trace-out", TraceOut);
+  T.path("metrics-out", MetricsOut);
+  T.choice("metrics-format", MetricsFormat, {"json", "prom"});
+  T.text("explain", ExplainSel, /*Bare=*/true);
+  T.add("check", OptionTable::Value::Optional, [&](const std::string *V) {
+    if (!V || *V == "all")
       CheckContracts = CheckOracle = true;
-    } else if (Arg == "--check=contracts") {
+    else if (*V == "contracts")
       CheckContracts = true;
-    } else if (Arg == "--check=oracle") {
+    else if (*V == "oracle")
       CheckOracle = true;
-    } else if (Arg.rfind("--check=", 0) == 0) {
-      std::fprintf(stderr, "error: unknown --check mode '%s'\n",
-                   Arg.substr(8).c_str());
-      return 2;
-    } else if (Arg.rfind("--check-traces=", 0) == 0) {
-      std::string Value = Arg.substr(15);
-      if (Value.empty() ||
-          Value.find_first_not_of("0123456789") != std::string::npos) {
-        std::fprintf(stderr, "error: --check-traces expects a number, got '%s'\n",
-                     Value.c_str());
-        return 2;
-      }
-      OracleOpts.Traces = static_cast<unsigned>(std::stoul(Value));
-    } else if (Arg.rfind("--check-seed=", 0) == 0) {
-      std::string Value = Arg.substr(13);
-      if (Value.empty() ||
-          Value.find_first_not_of("0123456789") != std::string::npos) {
-        std::fprintf(stderr, "error: --check-seed expects a number, got '%s'\n",
-                     Value.c_str());
-        return 2;
-      }
-      OracleOpts.Seed = std::stoull(Value);
-    } else if (Arg == "--lint") {
-      Lint = true;
-    } else if (Arg.rfind("--lint=", 0) == 0) {
-      Lint = true;
-      LintOpts.Checks = Arg.substr(7);
-      std::string LintErr;
-      if (!lint::validateLintChecks(LintOpts.Checks, &LintErr)) {
-        std::fprintf(stderr, "error: %s\n", LintErr.c_str());
-        return 2;
-      }
-    } else if (Arg.rfind("--lint-format=", 0) == 0) {
-      LintFormat = Arg.substr(14);
-      if (LintFormat != "text" && LintFormat != "sarif") {
-        std::fprintf(stderr,
-                     "error: --lint-format expects 'text' or 'sarif'\n");
-        return 2;
-      }
-    } else if (Arg.rfind("--lint-baseline=", 0) == 0) {
-      LintBaseline = Arg.substr(16);
-      if (LintBaseline.empty()) {
-        std::fprintf(stderr, "error: --lint-baseline expects a file name\n");
-        return 2;
-      }
-    } else if (Arg == "--test-break-join") {
-      BreakJoin = true;
-    } else if (Arg.rfind("--test-break-join=", 0) == 0) {
-      std::string Value = Arg.substr(18);
-      if (Value.empty() ||
-          Value.find_first_not_of("0123456789") != std::string::npos) {
-        std::fprintf(stderr,
-                     "error: --test-break-join expects a number, got '%s'\n",
-                     Value.c_str());
-        return 2;
-      }
-      BreakJoin = true;
-      BreakJoinFrom = static_cast<unsigned>(std::stoul(Value));
-    } else if (Arg.rfind("--widening-delay=", 0) == 0) {
-      std::string Value = Arg.substr(17);
-      if (Value.empty() ||
-          Value.find_first_not_of("0123456789") != std::string::npos) {
-        std::fprintf(stderr, "error: --widening-delay expects a number, got '%s'\n",
-                     Value.c_str());
-        return 2;
-      }
-      Opts.WideningDelay = static_cast<unsigned>(std::stoul(Value));
-    } else if (Arg.rfind("--timeout-ms=", 0) == 0) {
-      std::string Value = Arg.substr(13);
-      if (Value.empty() ||
-          Value.find_first_not_of("0123456789") != std::string::npos) {
-        std::fprintf(stderr, "error: --timeout-ms expects a number, got '%s'\n",
-                     Value.c_str());
-        return 2;
-      }
-      TimeoutMs = std::stoull(Value);
-    } else if (Arg.rfind("--poly-max-rows=", 0) == 0) {
-      std::string Value = Arg.substr(16);
-      if (Value.empty() ||
-          Value.find_first_not_of("0123456789") != std::string::npos) {
-        std::fprintf(stderr,
-                     "error: --poly-max-rows expects a number, got '%s'\n",
-                     Value.c_str());
-        return 2;
-      }
-      setPolyRowCap(std::stoul(Value));
-    } else if (Arg == "--stats") {
-      ShowStats = true;
-    } else if (Arg == "--no-memo") {
-      Opts.Memoize = false;
-    } else if (Arg == "--help" || Arg == "-h") {
-      usage();
-      return 0;
-    } else if (!Arg.empty() && Arg[0] == '-') {
-      std::fprintf(stderr, "error: unknown option '%s'\n", Arg.c_str());
-      usage();
-      return 2;
-    } else {
-      Path = Arg;
-    }
-  }
+    else
+      return "unknown --check mode '" + *V + "'";
+    return std::string();
+  });
+  T.number("check-traces", OracleOpts.Traces);
+  T.number("check-seed", OracleOpts.Seed);
+  T.text("lint", LintOpts.Checks, /*Bare=*/true, lintSelectorError);
+  T.choice("lint-format", LintFormat, {"text", "sarif"});
+  T.path("lint-baseline", LintBaseline);
+  T.number("test-break-join", BreakJoinFrom, 0, UINT_MAX, /*Bare=*/true);
+  T.number("widening-delay", Opts.WideningDelay);
+  T.number("timeout-ms", TimeoutMs, 0, MaxTimeoutMs);
+  T.number("poly-max-rows", PolyMaxRows);
+  T.flag("stats", ShowStats);
+  T.flag("no-memo", Opts.Memoize, false);
+  std::vector<std::string> Args;
+  if (std::optional<int> Exit = T.parse(Argc, Argv, &Args))
+    return *Exit;
+  const bool Explain = T.given("explain");
+  const bool Lint = T.given("lint");
+  const bool BreakJoin = T.given("test-break-join");
+  setPolyRowCap(PolyMaxRows);
+  std::string Path = Args.empty() ? "" : Args.back();
   if (Path.empty()) {
-    usage();
+    T.printUsage();
     return 2;
   }
 
-  std::ifstream In(Path);
-  if (!In) {
-    std::fprintf(stderr, "error: cannot open '%s'\n", Path.c_str());
+  std::string Text, BaselineText;
+  if (!readFile(Path, Text) ||
+      (!LintBaseline.empty() && !readFile(LintBaseline, BaselineText)))
     return 2;
-  }
-  std::stringstream Buffer;
-  Buffer << In.rdbuf();
+  std::set<std::string> Baseline = lint::parseBaseline(BaselineText);
 
-  std::set<std::string> Baseline;
-  if (!LintBaseline.empty()) {
-    std::ifstream BIn(LintBaseline);
-    if (!BIn) {
-      std::fprintf(stderr, "error: cannot open '%s'\n", LintBaseline.c_str());
-      return 2;
-    }
-    std::stringstream BBuf;
-    BBuf << BIn.rdbuf();
-    Baseline = lint::parseBaseline(BBuf.str());
-  }
-
-  TermContext Ctx;
-  // Pre-intern the theory predicates so the parser recognizes them even if
-  // the chosen domains do not mention them.
-  Ctx.getPredicate("even", 1);
-  Ctx.getPredicate("odd", 1);
-  Ctx.getPredicate("positive", 1);
-  Ctx.getPredicate("negative", 1);
-
-  service::DomainFactory Factory(Ctx);
-  LogicalLattice *Domain = Factory.build(DomainSpec);
-  if (!Domain) {
+  ProgramSetup Setup;
+  switch (Setup.prepare(DomainSpec, Encode, Text)) {
+  case ProgramSetup::Status::Ok:
+    break;
+  case ProgramSetup::Status::BadDomain:
     std::fprintf(stderr, "error: bad --domain spec: %s\n",
-                 Factory.error().c_str());
+                 Setup.error().c_str());
+    return 2;
+  case ProgramSetup::Status::ParseError:
+    std::fprintf(stderr, "error: %s: %s\n", Path.c_str(),
+                 Setup.error().c_str());
     return 2;
   }
+  TermContext &Ctx = Setup.Ctx;
+  const Program &Analyzed = Setup.Prog;
+  LogicalLattice *Domain = Setup.Domain;
 
   // Decorator stack: Checked(Broken(Domain)).  The fault-injection layer
   // sits inside so the checker convicts it like any other buggy domain.
   if (BreakJoin)
-    Domain = Factory.keep(
+    Domain = Setup.Factory.keep(
         std::make_unique<check::BrokenJoinLattice>(*Domain, BreakJoinFrom));
   check::CheckedLattice *Checker = nullptr;
   if (CheckContracts) {
     auto Checked = std::make_unique<check::CheckedLattice>(*Domain);
     Checker = Checked.get();
-    Domain = Factory.keep(std::move(Checked));
-  }
-
-  std::string ParseError;
-  std::optional<Program> P = parseProgram(Ctx, Buffer.str(), &ParseError);
-  if (!P) {
-    std::fprintf(stderr, "error: %s: %s\n", Path.c_str(), ParseError.c_str());
-    return 2;
-  }
-
-  Program Analyzed = *P;
-  if (Encode == "comm") {
-    TermEncoder Enc(Ctx, TermEncoder::Scheme::Commutative);
-    Analyzed = Enc.encode(Analyzed);
-  } else if (Encode == "arity") {
-    TermEncoder Enc(Ctx, TermEncoder::Scheme::ArityReduction);
-    Analyzed = Enc.encode(Analyzed);
-  } else if (!Encode.empty()) {
-    std::fprintf(stderr, "error: unknown --encode '%s'\n", Encode.c_str());
-    return 2;
+    Domain = Setup.Factory.keep(std::move(Checked));
   }
 
   // Observability setup: tracer, timing histograms, provenance recorder.
@@ -395,17 +254,10 @@ int main(int Argc, char **Argv) {
     std::fprintf(stderr, "trace:      %zu events -> %s\n", Tracer.numEvents(),
                  TraceOut.c_str());
   }
-  if (!MetricsOut.empty()) {
-    std::ofstream MOut(MetricsOut);
-    if (!MOut) {
-      std::fprintf(stderr, "error: cannot write '%s'\n", MetricsOut.c_str());
-      return 2;
-    }
-    if (MetricsFormat == "prom")
-      obs::MetricsRegistry::global().writePrometheus(MOut);
-    else
-      obs::MetricsRegistry::global().writeJson(MOut);
-  }
+  if (!MetricsOut.empty() &&
+      !writeMetricsFile(obs::MetricsRegistry::global(), MetricsOut,
+                        MetricsFormat))
+    return 2;
 
   if (R.Cancelled) {
     // The deadline fired: the engine stopped cleanly at a step boundary,

@@ -26,7 +26,7 @@
 ///   --no-memo         disable transfer memoization (for determinism tests)
 ///
 /// Scheduler:
-///   --jobs=N          worker threads (default 1)
+///   --jobs=N          worker threads (default 1, at most 256)
 ///   --cache-bytes=N   result-cache byte budget (default 64 MiB, 0 disables)
 ///   --persist-dir=DIR attach the disk cache tier: results append to a
 ///                     checksummed record log and survive across runs
@@ -64,12 +64,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "interp/ProgramGen.h"
-#include "lint/Lint.h"
-#include "obs/EventLog.h"
-#include "obs/Metrics.h"
-#include "persist/PersistStore.h"
+#include "service/Driver.h"
 #include "service/Protocol.h"
-#include "service/Scheduler.h"
 
 #include <algorithm>
 #include <cstdio>
@@ -84,156 +80,56 @@ using namespace cai::service;
 
 namespace {
 
-void usage() {
-  std::fprintf(
-      stderr,
-      "usage: cai-batch [options] [program.imp | directory]...\n"
-      "  --manifest=FILE    JSON-lines job manifest\n"
-      "  --gen=N            N generated programs  --gen-seed=S  base seed\n"
-      "  --domain=<spec>    domain for positional/--gen jobs\n"
-      "  --encode=comm|arity  --timeout-ms=N  per-job options\n"
-      "  --lint[=sel]       lint each job (sel as in cai-lint --checks)\n"
-      "  --no-memo          disable transfer memoization\n"
-      "  --jobs=N           worker threads (default 1)\n"
-      "  --cache-bytes=N    result-cache budget (default 64 MiB, 0 = off)\n"
-      "  --persist-dir=DIR  disk cache tier (survives across runs)\n"
-      "  --persist-budget=N on-disk byte budget (0 = unbounded)\n"
-      "  --repeat=N         run the job list N times (warm-cache passes)\n"
-      "  --stats            summary JSON line on stderr\n"
-      "  --trace-out=FILE   merged Chrome trace    --metrics-out=FILE\n"
-      "  --metrics-format=json|prom   --metrics-out format\n"
-      "  --telemetry-out=FILE  lifecycle latency report ('-' = stderr)\n"
-      "  --slow-ms=N        exemplar traces for jobs slower than N ms\n"
-      "  --exemplar-dir=DIR --event-log=FILE\n"
-      "exit codes: 0 all verified, 1 some job failed, 2 usage/I/O error\n");
-}
-
-bool parseCount(const std::string &Arg, size_t Prefix, uint64_t &Out) {
-  std::string Value = Arg.substr(Prefix);
-  if (Value.empty() ||
-      Value.find_first_not_of("0123456789") != std::string::npos) {
-    std::fprintf(stderr, "error: '%s' expects a number\n",
-                 Arg.substr(0, Prefix).c_str());
-    return false;
-  }
-  Out = std::stoull(Value);
-  return true;
-}
-
-bool readFile(const std::string &Path, std::string &Out) {
-  std::ifstream In(Path);
-  if (!In) {
-    std::fprintf(stderr, "error: cannot open '%s'\n", Path.c_str());
-    return false;
-  }
-  std::stringstream Buffer;
-  Buffer << In.rdbuf();
-  Out = Buffer.str();
-  return true;
-}
+const char *const Usage =
+    "usage: cai-batch [options] [program.imp | directory]...\n"
+    "  --manifest=FILE    JSON-lines job manifest\n"
+    "  --gen=N            N generated programs  --gen-seed=S  base seed\n"
+    "  --domain=<spec>    domain for positional/--gen jobs\n"
+    "  --encode=comm|arity  --timeout-ms=N  per-job options\n"
+    "  --lint[=sel]       lint each job (sel as in cai-lint --checks)\n"
+    "  --no-memo          disable transfer memoization\n"
+    "  --jobs=N           worker threads (default 1)\n"
+    "  --cache-bytes=N    result-cache budget (default 64 MiB, 0 = off)\n"
+    "  --persist-dir=DIR  disk cache tier (survives across runs)\n"
+    "  --persist-budget=N on-disk byte budget (0 = unbounded)\n"
+    "  --repeat=N         run the job list N times (warm-cache passes)\n"
+    "  --stats            summary JSON line on stderr\n"
+    "  --trace-out=FILE   merged Chrome trace    --metrics-out=FILE\n"
+    "  --metrics-format=json|prom   --metrics-out format\n"
+    "  --telemetry-out=FILE  lifecycle latency report ('-' = stderr)\n"
+    "  --slow-ms=N        exemplar traces for jobs slower than N ms\n"
+    "  --exemplar-dir=DIR --event-log=FILE\n"
+    "exit codes: 0 all verified, 1 some job failed, 2 usage/I/O error\n";
 
 } // namespace
 
 int main(int Argc, char **Argv) {
   std::vector<std::string> Paths;
   std::string Manifest;
-  std::string TraceOut;
-  std::string MetricsOut;
-  std::string MetricsFormat = "json";
   std::string TelemetryOut;
-  std::string ExemplarDir;
-  std::string EventLogPath;
   JobOptions Defaults;
   uint64_t Gen = 0;
   uint64_t GenSeed = 1;
-  uint64_t Workers = 1;
-  uint64_t CacheBytes = 64ull << 20;
   uint64_t Repeat = 1;
-  uint64_t SlowMs = 0;
-  uint64_t PersistBudget = 0;
-  std::string PersistDir;
   bool ShowStats = false;
+  ServiceHost Host;
 
-  for (int I = 1; I < Argc; ++I) {
-    std::string Arg = Argv[I];
-    if (Arg.rfind("--manifest=", 0) == 0) {
-      Manifest = Arg.substr(11);
-    } else if (Arg.rfind("--gen=", 0) == 0) {
-      if (!parseCount(Arg, 6, Gen))
-        return 2;
-    } else if (Arg.rfind("--gen-seed=", 0) == 0) {
-      if (!parseCount(Arg, 11, GenSeed))
-        return 2;
-    } else if (Arg.rfind("--domain=", 0) == 0) {
-      Defaults.DomainSpec = Arg.substr(9);
-    } else if (Arg.rfind("--encode=", 0) == 0) {
-      Defaults.Encode = Arg.substr(9);
-    } else if (Arg.rfind("--timeout-ms=", 0) == 0) {
-      if (!parseCount(Arg, 13, Defaults.TimeoutMs))
-        return 2;
-    } else if (Arg == "--lint") {
-      Defaults.Lint = true;
-    } else if (Arg.rfind("--lint=", 0) == 0) {
-      Defaults.Lint = true;
-      Defaults.LintChecks = Arg.substr(7);
-      std::string LintErr;
-      if (!lint::validateLintChecks(Defaults.LintChecks, &LintErr)) {
-        std::fprintf(stderr, "error: %s\n", LintErr.c_str());
-        return 2;
-      }
-    } else if (Arg == "--no-memo") {
-      Defaults.Memoize = false;
-    } else if (Arg.rfind("--jobs=", 0) == 0) {
-      if (!parseCount(Arg, 7, Workers) || Workers == 0) {
-        std::fprintf(stderr, "error: --jobs expects a positive number\n");
-        return 2;
-      }
-    } else if (Arg.rfind("--cache-bytes=", 0) == 0) {
-      if (!parseCount(Arg, 14, CacheBytes))
-        return 2;
-    } else if (Arg.rfind("--persist-dir=", 0) == 0) {
-      PersistDir = Arg.substr(14);
-    } else if (Arg.rfind("--persist-budget=", 0) == 0) {
-      if (!parseCount(Arg, 17, PersistBudget))
-        return 2;
-    } else if (Arg.rfind("--repeat=", 0) == 0) {
-      if (!parseCount(Arg, 9, Repeat) || Repeat == 0) {
-        std::fprintf(stderr, "error: --repeat expects a positive number\n");
-        return 2;
-      }
-    } else if (Arg == "--stats") {
-      ShowStats = true;
-    } else if (Arg.rfind("--trace-out=", 0) == 0) {
-      TraceOut = Arg.substr(12);
-    } else if (Arg.rfind("--metrics-out=", 0) == 0) {
-      MetricsOut = Arg.substr(14);
-    } else if (Arg.rfind("--metrics-format=", 0) == 0) {
-      MetricsFormat = Arg.substr(17);
-      if (MetricsFormat != "json" && MetricsFormat != "prom") {
-        std::fprintf(stderr,
-                     "error: --metrics-format expects 'json' or 'prom'\n");
-        return 2;
-      }
-    } else if (Arg.rfind("--telemetry-out=", 0) == 0) {
-      TelemetryOut = Arg.substr(16);
-    } else if (Arg.rfind("--slow-ms=", 0) == 0) {
-      if (!parseCount(Arg, 10, SlowMs))
-        return 2;
-    } else if (Arg.rfind("--exemplar-dir=", 0) == 0) {
-      ExemplarDir = Arg.substr(15);
-    } else if (Arg.rfind("--event-log=", 0) == 0) {
-      EventLogPath = Arg.substr(12);
-    } else if (Arg == "--help" || Arg == "-h") {
-      usage();
-      return 0;
-    } else if (!Arg.empty() && Arg[0] == '-') {
-      std::fprintf(stderr, "error: unknown option '%s'\n", Arg.c_str());
-      usage();
-      return 2;
-    } else {
-      Paths.push_back(Arg);
-    }
-  }
+  OptionTable T(Usage);
+  T.path("manifest", Manifest);
+  T.number("gen", Gen);
+  T.number("gen-seed", GenSeed);
+  T.text("domain", Defaults.DomainSpec);
+  T.choice("encode", Defaults.Encode, encodeNames());
+  T.number("timeout-ms", Defaults.TimeoutMs, 0, MaxTimeoutMs);
+  T.text("lint", Defaults.LintChecks, /*Bare=*/true, lintSelectorError);
+  T.flag("no-memo", Defaults.Memoize, false);
+  T.number("repeat", Repeat, 1);
+  T.flag("stats", ShowStats);
+  T.path("telemetry-out", TelemetryOut);
+  Host.addOptions(T);
+  if (std::optional<int> Exit = T.parse(Argc, Argv, &Paths))
+    return *Exit;
+  Defaults.Lint = T.given("lint");
 
   // Assemble the job list (one pass; --repeat resubmits it).
   std::vector<JobSpec> Batch;
@@ -268,11 +164,10 @@ int main(int Argc, char **Argv) {
   }
 
   if (!Manifest.empty()) {
-    std::ifstream In(Manifest);
-    if (!In) {
-      std::fprintf(stderr, "error: cannot open '%s'\n", Manifest.c_str());
+    std::string ManifestText;
+    if (!readFile(Manifest, ManifestText))
       return 2;
-    }
+    std::istringstream In(ManifestText);
     unsigned LineNo = 0;
     for (std::string Line; std::getline(In, Line);) {
       ++LineNo;
@@ -316,39 +211,14 @@ int main(int Argc, char **Argv) {
   }
 
   if (Batch.empty()) {
-    usage();
+    T.printUsage();
     return 2;
   }
 
-  SchedulerOptions SO;
-  SO.Workers = static_cast<unsigned>(Workers);
-  SO.CacheBytes = CacheBytes;
-  SO.CollectTraces = !TraceOut.empty();
-  SO.Telemetry = !TelemetryOut.empty() || SlowMs != 0;
-  SO.SlowMs = SlowMs;
-  SO.ExemplarDir = ExemplarDir;
-
-  std::shared_ptr<persist::PersistStore> Persist;
-  if (!PersistDir.empty()) {
-    Persist = std::make_shared<persist::PersistStore>(PersistDir,
-                                                      PersistBudget);
-    std::string PersistErr;
-    if (!Persist->open(&PersistErr)) {
-      std::fprintf(stderr, "error: %s\n", PersistErr.c_str());
-      return 2;
-    }
-    SO.Persist = Persist;
-  }
-
-  std::ofstream EventLogOut;
-  if (!EventLogPath.empty()) {
-    EventLogOut.open(EventLogPath, std::ios::app);
-    if (!EventLogOut) {
-      std::fprintf(stderr, "error: cannot write '%s'\n", EventLogPath.c_str());
-      return 2;
-    }
-    obs::EventLog::global().open(&EventLogOut);
-  }
+  if (!Host.open())
+    return 2;
+  SchedulerOptions SO = Host.schedulerOptions();
+  SO.Telemetry = !TelemetryOut.empty();
 
   uint64_t JobsCompleted = 0;
   bool AllVerified = true;
@@ -372,40 +242,11 @@ int main(int Argc, char **Argv) {
       std::printf("%s\n", resultToJsonLine(R).c_str());
     }
 
-    if (ShowStats) {
-      persist::PersistStats PS;
-      if (Persist)
-        PS = Persist->stats();
+    if (ShowStats)
       std::fprintf(stderr, "%s\n",
-                   statsToJsonLine(Scheduler.cacheStats(),
-                                   Scheduler.snapshotCacheStats(),
-                                   Scheduler.incrementalStats(),
-                                   Scheduler.numWorkers(), JobsCompleted,
-                                   Persist ? &PS : nullptr)
-                       .c_str());
-    }
-
-    if (!TraceOut.empty()) {
-      std::ofstream TOut(TraceOut);
-      if (!TOut) {
-        std::fprintf(stderr, "error: cannot write '%s'\n", TraceOut.c_str());
-        return 2;
-      }
-      Scheduler.writeMergedTrace(TOut);
-    }
-    if (!MetricsOut.empty()) {
-      std::ofstream MOut(MetricsOut);
-      if (!MOut) {
-        std::fprintf(stderr, "error: cannot write '%s'\n", MetricsOut.c_str());
-        return 2;
-      }
-      obs::MetricsRegistry Merged;
-      Scheduler.mergeMetricsInto(Merged);
-      if (MetricsFormat == "prom")
-        Merged.writePrometheus(MOut);
-      else
-        Merged.writeJson(MOut);
-    }
+                   ServiceHost::statsLine(Scheduler, JobsCompleted).c_str());
+    if (!Host.exportObs(Scheduler))
+      return 2;
     if (!TelemetryOut.empty()) {
       std::string Line = Scheduler.telemetryJsonLine();
       if (TelemetryOut == "-") {
@@ -422,12 +263,6 @@ int main(int Argc, char **Argv) {
     }
   }
 
-  if (Persist) {
-    std::string FlushErr;
-    if (!Persist->flush(&FlushErr))
-      std::fprintf(stderr, "warning: persist flush failed: %s\n",
-                   FlushErr.c_str());
-  }
-  obs::EventLog::global().open(nullptr); // Before EventLogOut destructs.
+  Host.flushPersist();
   return AllVerified ? 0 : 1;
 }

@@ -30,168 +30,86 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/Analyzer.h"
-#include "encodings/Encodings.h"
-#include "ir/ProgramParser.h"
 #include "lint/Lint.h"
-#include "service/DomainFactory.h"
+#include "service/Driver.h"
 
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 
 using namespace cai;
+using namespace cai::service;
 
 namespace {
 
-void usage() {
-  std::fprintf(stderr,
-               "usage: cai-lint [--domain=<spec>] [--checks=<sel,...>]\n"
-               "                [--format=text|sarif] [--baseline=FILE]\n"
-               "                [--write-baseline=FILE] [--encode=comm|arity]\n"
-               "                [--widening-delay=N] [--no-memo]\n"
-               "                <program.imp>\n"
-               "checks:    unreachable branch divzero bounds deadstore uninit\n"
-               "exit codes: 0 no findings, 1 findings reported,\n"
-               "            2 usage/parse/I/O error, 3 fixpoint did not "
-               "converge\n");
-}
+const char *const Usage =
+    "usage: cai-lint [--domain=<spec>] [--checks=<sel,...>]\n"
+    "                [--format=text|sarif] [--baseline=FILE]\n"
+    "                [--write-baseline=FILE] [--encode=comm|arity]\n"
+    "                [--widening-delay=N] [--no-memo]\n"
+    "                <program.imp>\n"
+    "checks:    unreachable branch divzero bounds deadstore uninit\n"
+    "exit codes: 0 no findings, 1 findings reported,\n"
+    "            2 usage/parse/I/O error, 3 fixpoint did not converge\n";
 
 } // namespace
 
 int main(int Argc, char **Argv) {
   std::string DomainSpec = "logical:poly,uf";
   std::string Encode;
-  std::string Path;
   std::string Format = "text";
   std::string BaselinePath;
   std::string WriteBaselinePath;
   lint::LintOptions LintOpts;
   AnalyzerOptions Opts;
 
-  for (int I = 1; I < Argc; ++I) {
-    std::string Arg = Argv[I];
-    if (Arg.rfind("--domain=", 0) == 0) {
-      DomainSpec = Arg.substr(9);
-    } else if (Arg.rfind("--checks=", 0) == 0) {
-      LintOpts.Checks = Arg.substr(9);
-      std::string LintErr;
-      if (!lint::validateLintChecks(LintOpts.Checks, &LintErr)) {
-        std::fprintf(stderr, "error: %s\n", LintErr.c_str());
-        return 2;
-      }
-    } else if (Arg.rfind("--format=", 0) == 0) {
-      Format = Arg.substr(9);
-      if (Format != "text" && Format != "sarif") {
-        std::fprintf(stderr, "error: --format expects 'text' or 'sarif'\n");
-        return 2;
-      }
-    } else if (Arg.rfind("--baseline=", 0) == 0) {
-      BaselinePath = Arg.substr(11);
-      if (BaselinePath.empty()) {
-        std::fprintf(stderr, "error: --baseline expects a file name\n");
-        return 2;
-      }
-    } else if (Arg.rfind("--write-baseline=", 0) == 0) {
-      WriteBaselinePath = Arg.substr(17);
-      if (WriteBaselinePath.empty()) {
-        std::fprintf(stderr, "error: --write-baseline expects a file name\n");
-        return 2;
-      }
-    } else if (Arg.rfind("--encode=", 0) == 0) {
-      Encode = Arg.substr(9);
-      if (Encode != "comm" && Encode != "arity") {
-        std::fprintf(stderr, "error: unknown --encode '%s'\n", Encode.c_str());
-        return 2;
-      }
-    } else if (Arg.rfind("--widening-delay=", 0) == 0) {
-      std::string Value = Arg.substr(17);
-      if (Value.empty() ||
-          Value.find_first_not_of("0123456789") != std::string::npos) {
-        std::fprintf(stderr,
-                     "error: --widening-delay expects a number, got '%s'\n",
-                     Value.c_str());
-        return 2;
-      }
-      Opts.WideningDelay = static_cast<unsigned>(std::stoul(Value));
-    } else if (Arg == "--no-memo") {
-      Opts.Memoize = false;
-    } else if (Arg == "--help" || Arg == "-h") {
-      usage();
-      return 0;
-    } else if (!Arg.empty() && Arg[0] == '-') {
-      std::fprintf(stderr, "error: unknown option '%s'\n", Arg.c_str());
-      usage();
-      return 2;
-    } else {
-      Path = Arg;
-    }
-  }
+  OptionTable T(Usage);
+  T.text("domain", DomainSpec);
+  T.text("checks", LintOpts.Checks, false, lintSelectorError);
+  T.choice("format", Format, {"text", "sarif"});
+  T.path("baseline", BaselinePath);
+  T.path("write-baseline", WriteBaselinePath);
+  T.choice("encode", Encode, encodeNames());
+  T.number("widening-delay", Opts.WideningDelay);
+  T.flag("no-memo", Opts.Memoize, false);
+  std::vector<std::string> Args;
+  if (std::optional<int> Exit = T.parse(Argc, Argv, &Args))
+    return *Exit;
+  std::string Path = Args.empty() ? "" : Args.back();
   if (Path.empty()) {
-    usage();
+    T.printUsage();
     return 2;
   }
 
-  std::ifstream In(Path);
-  if (!In) {
-    std::fprintf(stderr, "error: cannot open '%s'\n", Path.c_str());
+  std::string Text, BaselineText;
+  if (!readFile(Path, Text) ||
+      (!BaselinePath.empty() && !readFile(BaselinePath, BaselineText)))
     return 2;
-  }
-  std::stringstream Buffer;
-  Buffer << In.rdbuf();
 
-  std::set<std::string> Baseline;
-  if (!BaselinePath.empty()) {
-    std::ifstream BIn(BaselinePath);
-    if (!BIn) {
-      std::fprintf(stderr, "error: cannot open '%s'\n", BaselinePath.c_str());
-      return 2;
-    }
-    std::stringstream BBuf;
-    BBuf << BIn.rdbuf();
-    Baseline = lint::parseBaseline(BBuf.str());
-  }
-
-  TermContext Ctx;
-  Ctx.getPredicate("even", 1);
-  Ctx.getPredicate("odd", 1);
-  Ctx.getPredicate("positive", 1);
-  Ctx.getPredicate("negative", 1);
-
-  service::DomainFactory Factory(Ctx);
-  LogicalLattice *Domain = Factory.build(DomainSpec);
-  if (!Domain) {
+  ProgramSetup Setup;
+  switch (Setup.prepare(DomainSpec, Encode, Text)) {
+  case ProgramSetup::Status::Ok:
+    break;
+  case ProgramSetup::Status::BadDomain:
     std::fprintf(stderr, "error: bad --domain spec: %s\n",
-                 Factory.error().c_str());
+                 Setup.error().c_str());
+    return 2;
+  case ProgramSetup::Status::ParseError:
+    std::fprintf(stderr, "error: %s: %s\n", Path.c_str(),
+                 Setup.error().c_str());
     return 2;
   }
 
-  std::string ParseError;
-  std::optional<Program> P = parseProgram(Ctx, Buffer.str(), &ParseError);
-  if (!P) {
-    std::fprintf(stderr, "error: %s: %s\n", Path.c_str(), ParseError.c_str());
-    return 2;
-  }
-
-  Program Analyzed = *P;
-  if (Encode == "comm") {
-    TermEncoder Enc(Ctx, TermEncoder::Scheme::Commutative);
-    Analyzed = Enc.encode(Analyzed);
-  } else if (Encode == "arity") {
-    TermEncoder Enc(Ctx, TermEncoder::Scheme::ArityReduction);
-    Analyzed = Enc.encode(Analyzed);
-  }
-
-  AnalysisResult R = Analyzer(*Domain, Opts).run(Analyzed);
+  AnalysisResult R = Analyzer(*Setup.Domain, Opts).run(Setup.Prog);
   if (!R.Converged) {
     std::fprintf(stderr, "error: fixpoint did not converge; the invariants "
                          "cannot justify lint findings\n");
     return 3;
   }
 
-  std::vector<lint::LintFinding> Findings =
-      lint::applyBaseline(lint::runLint(Ctx, Analyzed, R, *Domain, LintOpts),
-                          Baseline);
+  std::vector<lint::LintFinding> Findings = lint::applyBaseline(
+      lint::runLint(Setup.Ctx, Setup.Prog, R, *Setup.Domain, LintOpts),
+      lint::parseBaseline(BaselineText));
 
   if (!WriteBaselinePath.empty()) {
     std::ofstream BOut(WriteBaselinePath);

@@ -57,6 +57,8 @@
 /// failures).  --metrics-out writes merged metrics at shutdown, as
 /// nested JSON or Prometheus text exposition per --metrics-format.
 ///
+/// --jobs accepts 1..256 (service::MaxWorkers), as in cai-batch.
+///
 /// Exit code: 0 on clean shutdown/EOF/signal, 2 on usage errors.
 ///
 //===----------------------------------------------------------------------===//
@@ -64,18 +66,15 @@
 #include "net/Conn.h"
 #include "net/Listener.h"
 #include "obs/EventLog.h"
-#include "persist/PersistStore.h"
+#include "service/Driver.h"
 #include "service/Protocol.h"
-#include "service/Scheduler.h"
 
 #include <atomic>
 #include <csignal>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <mutex>
-#include <sstream>
 #include <string>
 
 using namespace cai;
@@ -83,20 +82,16 @@ using namespace cai::service;
 
 namespace {
 
-void usage() {
-  std::fprintf(stderr,
-               "usage: cai-serve [--jobs=N] [--cache-bytes=N] "
-               "[--trace-out=FILE]\n"
-               "                 [--no-telemetry] [--slow-ms=N] "
-               "[--exemplar-dir=DIR]\n"
-               "                 [--event-log=FILE] [--metrics-out=FILE] "
-               "[--metrics-format=json|prom]\n"
-               "                 [--listen=HOST:PORT] [--port-file=FILE]\n"
-               "                 [--read-timeout-ms=N] [--max-line-bytes=N]\n"
-               "                 [--persist-dir=DIR] [--persist-budget=N]\n"
-               "reads JSON-lines requests on stdin (or TCP with --listen), "
-               "writes JSON-lines responses\n");
-}
+const char *const Usage =
+    "usage: cai-serve [--jobs=N] [--cache-bytes=N] [--trace-out=FILE]\n"
+    "                 [--no-telemetry] [--slow-ms=N] [--exemplar-dir=DIR]\n"
+    "                 [--event-log=FILE] [--metrics-out=FILE] "
+    "[--metrics-format=json|prom]\n"
+    "                 [--listen=HOST:PORT] [--port-file=FILE]\n"
+    "                 [--read-timeout-ms=N] [--max-line-bytes=N]\n"
+    "                 [--persist-dir=DIR] [--persist-budget=N]\n"
+    "reads JSON-lines requests on stdin (or TCP with --listen), "
+    "writes JSON-lines responses\n";
 
 /// Serializes writers: results stream from worker threads while the main
 /// thread answers stats and bad-request lines.  In TCP mode the active
@@ -149,7 +144,6 @@ void installSignalHandlers() {
 /// Everything one request line needs.
 struct ServeContext {
   AnalysisScheduler *Scheduler = nullptr;
-  std::shared_ptr<persist::PersistStore> Persist;
   std::atomic<uint64_t> JobsCompleted{0};
   uint64_t NextId = 0;
 };
@@ -191,25 +185,14 @@ LineOutcome handleLine(ServeContext &Ctx, const std::string &Line) {
     // are complete (and deterministic for the protocol test).
     Scheduler.waitIdle();
     Scheduler.takeResults(); // Already streamed; free the accumulation.
-    persist::PersistStats PS;
-    if (Ctx.Persist)
-      PS = Ctx.Persist->stats();
-    printLine(statsToJsonLine(
-        Scheduler.cacheStats(), Scheduler.snapshotCacheStats(),
-        Scheduler.incrementalStats(), Scheduler.numWorkers(),
-        Ctx.JobsCompleted.load(std::memory_order_relaxed),
-        Ctx.Persist ? &PS : nullptr));
+    printLine(ServiceHost::statsLine(
+        Scheduler, Ctx.JobsCompleted.load(std::memory_order_relaxed)));
     return LineOutcome::Continue;
   }
-  if (!Req->ProgramFile.empty()) {
-    std::ifstream In(Req->ProgramFile);
-    if (!In) {
-      printBadRequest("cannot open '" + Req->ProgramFile + "'");
-      return LineOutcome::Continue;
-    }
-    std::stringstream Buffer;
-    Buffer << In.rdbuf();
-    Req->Spec.ProgramText = Buffer.str();
+  if (!Req->ProgramFile.empty() &&
+      !readFile(Req->ProgramFile, Req->Spec.ProgramText, /*Report=*/false)) {
+    printBadRequest("cannot open '" + Req->ProgramFile + "'");
+    return LineOutcome::Continue;
   }
   Ctx.NextId = Req->Spec.Id + 1;
   Scheduler.submit(std::move(Req->Spec));
@@ -282,118 +265,31 @@ void serveTcp(ServeContext &Ctx, net::Listener &Listener,
 } // namespace
 
 int main(int Argc, char **Argv) {
-  uint64_t Workers = 1;
-  uint64_t CacheBytes = 64ull << 20;
-  uint64_t SlowMs = 0;
-  uint64_t ReadTimeoutMs = 0;
-  uint64_t MaxLineBytes = 32ull << 20;
-  uint64_t PersistBudget = 0;
+  unsigned ReadTimeoutMs = 0;
+  size_t MaxLineBytes = 32ull << 20;
   bool Telemetry = true;
-  std::string TraceOut;
-  std::string ExemplarDir;
-  std::string EventLogPath;
-  std::string MetricsOut;
-  std::string MetricsFormat = "json";
   std::string ListenAddr;
   std::string PortFile;
-  std::string PersistDir;
+  ServiceHost Host;
 
-  for (int I = 1; I < Argc; ++I) {
-    std::string Arg = Argv[I];
-    auto Number = [&](size_t Prefix, uint64_t &Out) {
-      std::string Value = Arg.substr(Prefix);
-      if (Value.empty() ||
-          Value.find_first_not_of("0123456789") != std::string::npos) {
-        std::fprintf(stderr, "error: '%s' expects a number\n", Arg.c_str());
-        return false;
-      }
-      Out = std::stoull(Value);
-      return true;
-    };
-    if (Arg.rfind("--jobs=", 0) == 0) {
-      if (!Number(7, Workers) || Workers == 0) {
-        std::fprintf(stderr, "error: --jobs expects a positive number\n");
-        return 2;
-      }
-    } else if (Arg.rfind("--cache-bytes=", 0) == 0) {
-      if (!Number(14, CacheBytes))
-        return 2;
-    } else if (Arg.rfind("--trace-out=", 0) == 0) {
-      TraceOut = Arg.substr(12);
-    } else if (Arg == "--no-telemetry") {
-      Telemetry = false;
-    } else if (Arg.rfind("--slow-ms=", 0) == 0) {
-      if (!Number(10, SlowMs))
-        return 2;
-    } else if (Arg.rfind("--exemplar-dir=", 0) == 0) {
-      ExemplarDir = Arg.substr(15);
-    } else if (Arg.rfind("--event-log=", 0) == 0) {
-      EventLogPath = Arg.substr(12);
-    } else if (Arg.rfind("--metrics-out=", 0) == 0) {
-      MetricsOut = Arg.substr(14);
-    } else if (Arg.rfind("--metrics-format=", 0) == 0) {
-      MetricsFormat = Arg.substr(17);
-      if (MetricsFormat != "json" && MetricsFormat != "prom") {
-        std::fprintf(stderr,
-                     "error: --metrics-format expects 'json' or 'prom'\n");
-        return 2;
-      }
-    } else if (Arg.rfind("--listen=", 0) == 0) {
-      ListenAddr = Arg.substr(9);
-    } else if (Arg.rfind("--port-file=", 0) == 0) {
-      PortFile = Arg.substr(12);
-    } else if (Arg.rfind("--read-timeout-ms=", 0) == 0) {
-      if (!Number(18, ReadTimeoutMs))
-        return 2;
-    } else if (Arg.rfind("--max-line-bytes=", 0) == 0) {
-      if (!Number(17, MaxLineBytes))
-        return 2;
-    } else if (Arg.rfind("--persist-dir=", 0) == 0) {
-      PersistDir = Arg.substr(14);
-    } else if (Arg.rfind("--persist-budget=", 0) == 0) {
-      if (!Number(17, PersistBudget))
-        return 2;
-    } else if (Arg == "--help" || Arg == "-h") {
-      usage();
-      return 0;
-    } else {
-      std::fprintf(stderr, "error: unknown option '%s'\n", Arg.c_str());
-      usage();
-      return 2;
-    }
-  }
+  OptionTable T(Usage);
+  Host.addOptions(T);
+  T.flag("no-telemetry", Telemetry, false);
+  T.text("listen", ListenAddr, false, [](const std::string &V) {
+    return V.empty() ? "--listen expects HOST:PORT" : "";
+  });
+  T.path("port-file", PortFile);
+  T.number("read-timeout-ms", ReadTimeoutMs);
+  T.number("max-line-bytes", MaxLineBytes);
+  if (std::optional<int> Exit = T.parse(Argc, Argv, nullptr))
+    return *Exit;
 
   installSignalHandlers();
 
-  SchedulerOptions SO;
-  SO.Workers = static_cast<unsigned>(Workers);
-  SO.CacheBytes = CacheBytes;
-  SO.CollectTraces = !TraceOut.empty();
+  if (!Host.open())
+    return 2;
+  SchedulerOptions SO = Host.schedulerOptions();
   SO.Telemetry = Telemetry;
-  SO.SlowMs = SlowMs;
-  SO.ExemplarDir = ExemplarDir;
-
-  std::ofstream EventLogOut;
-  if (!EventLogPath.empty()) {
-    EventLogOut.open(EventLogPath, std::ios::app);
-    if (!EventLogOut) {
-      std::fprintf(stderr, "error: cannot write '%s'\n", EventLogPath.c_str());
-      return 2;
-    }
-    obs::EventLog::global().open(&EventLogOut);
-  }
-
-  std::shared_ptr<persist::PersistStore> Persist;
-  if (!PersistDir.empty()) {
-    Persist = std::make_shared<persist::PersistStore>(PersistDir,
-                                                      PersistBudget);
-    std::string PersistErr;
-    if (!Persist->open(&PersistErr)) {
-      std::fprintf(stderr, "error: %s\n", PersistErr.c_str());
-      return 2;
-    }
-    SO.Persist = Persist;
-  }
 
   net::Listener Listener;
   if (!ListenAddr.empty()) {
@@ -415,7 +311,6 @@ int main(int Argc, char **Argv) {
   ServeContext Ctx;
   AnalysisScheduler Scheduler(SO);
   Ctx.Scheduler = &Scheduler;
-  Ctx.Persist = Persist;
   Scheduler.onResult([&](const JobResult &R) {
     Ctx.JobsCompleted.fetch_add(1, std::memory_order_relaxed);
     printLine(resultToJsonLine(R));
@@ -424,8 +319,7 @@ int main(int Argc, char **Argv) {
   const char *ShutdownReason = "eof";
   NetCounters NC;
   if (Listener.valid()) {
-    serveTcp(Ctx, Listener, static_cast<unsigned>(ReadTimeoutMs),
-             static_cast<size_t>(MaxLineBytes), NC);
+    serveTcp(Ctx, Listener, ReadTimeoutMs, MaxLineBytes, NC);
     ShutdownReason = SigShutdown.load(std::memory_order_relaxed)
                          ? "signal"
                          : "shutdown-command";
@@ -448,14 +342,7 @@ int main(int Argc, char **Argv) {
   // shutdown event, then export traces/metrics.
   Scheduler.waitIdle();
   Scheduler.takeResults();
-  bool PersistFlushed = true;
-  if (Persist) {
-    std::string FlushErr;
-    PersistFlushed = Persist->flush(&FlushErr);
-    if (!PersistFlushed)
-      std::fprintf(stderr, "warning: persist flush failed: %s\n",
-                   FlushErr.c_str());
-  }
+  bool PersistFlushed = Host.flushPersist();
   if (obs::EventLog::global().enabled())
     obs::EventLog::global().emit(
         obs::Severity::Info, "service", "shutdown",
@@ -464,34 +351,14 @@ int main(int Argc, char **Argv) {
                               Ctx.JobsCompleted.load(
                                   std::memory_order_relaxed)),
          obs::EventField::num("persist_flushed", PersistFlushed ? 1 : 0)});
-  if (!TraceOut.empty()) {
-    std::ofstream TOut(TraceOut);
-    if (!TOut) {
-      std::fprintf(stderr, "error: cannot write '%s'\n", TraceOut.c_str());
-      return 2;
-    }
-    Scheduler.writeMergedTrace(TOut);
-  }
-  if (!MetricsOut.empty()) {
-    std::ofstream MOut(MetricsOut);
-    if (!MOut) {
-      std::fprintf(stderr, "error: cannot write '%s'\n", MetricsOut.c_str());
-      return 2;
-    }
-    obs::MetricsRegistry Merged;
-    Scheduler.mergeMetricsInto(Merged);
-    if (!ListenAddr.empty()) {
-      Merged.counter("net.connections").inc(NC.Connections);
-      Merged.counter("net.lines").inc(NC.Lines);
-      Merged.counter("net.bad_lines").inc(NC.BadLines);
-      Merged.counter("net.timeouts").inc(NC.Timeouts);
-      Merged.counter("net.too_long").inc(NC.TooLong);
-    }
-    if (MetricsFormat == "prom")
-      Merged.writePrometheus(MOut);
-    else
-      Merged.writeJson(MOut);
-  }
-  obs::EventLog::global().open(nullptr); // Before EventLogOut destructs.
-  return 0;
+  bool Exported = Host.exportObs(Scheduler, [&](obs::MetricsRegistry &M) {
+    if (ListenAddr.empty())
+      return;
+    M.counter("net.connections").inc(NC.Connections);
+    M.counter("net.lines").inc(NC.Lines);
+    M.counter("net.bad_lines").inc(NC.BadLines);
+    M.counter("net.timeouts").inc(NC.Timeouts);
+    M.counter("net.too_long").inc(NC.TooLong);
+  });
+  return Exported ? 0 : 2;
 }

@@ -4,10 +4,9 @@ ctest).
 
     check_persist.py --serve=build/tools/cai-serve \\
                      --batch=build/tools/cai-batch \\
-                     --shard=build/tools/cai-shard \\
                      --program=tools/testdata/fig1.imp
 
-Five checks, all against the built binaries:
+Four checks, all against the built binaries:
 
   1. warm restart   -- cai-batch over a generated corpus with
      --persist-dir, twice.  The second (cold-process, warm-disk) run must
@@ -19,10 +18,7 @@ Five checks, all against the built binaries:
      (recomputed, not served wrong) and count persist.corrupt > 0.
   3. stdio vs TCP   -- the same session over stdin and over a TCP
      connection (--listen) must produce byte-identical response lines.
-  4. 2 shards vs 1  -- the same session through cai-shard over two
-     --listen backends must produce analyze responses byte-identical to
-     one process, and the summed stats line must count every job.
-  5. signal drain   -- SIGTERM to a --listen server with a persist log
+  4. signal drain   -- SIGTERM to a --listen server with a persist log
      must exit 0, write a "shutdown" event to the event log, and leave
      the log flushed (the next cold process serves the job from disk).
 
@@ -218,47 +214,6 @@ def check_stdio_vs_tcp(serve, tmpdir):
         ok(f"stdio and TCP byte-identical over {len(tcp_lines)} lines")
 
 
-def check_shard_vs_one(serve, shard, tmpdir):
-    before = len(FAILURES)
-    one = run([serve, "--jobs=1"], SESSION)
-    if one.returncode != 0:
-        fail(f"1-process serve exited {one.returncode}: {one.stderr}")
-        return
-    b1, p1 = start_serve(serve, ["--jobs=1"], tmpdir, "shard-a")
-    b2, p2 = start_serve(serve, ["--jobs=1"], tmpdir, "shard-b")
-    if p1 is None or p2 is None:
-        for b in (b1, b2):
-            b.kill()
-        return
-    sharded = run([shard, f"--backend=127.0.0.1:{p1}",
-                   f"--backend=127.0.0.1:{p2}"], SESSION)
-    rc1, rc2 = b1.wait(timeout=60), b2.wait(timeout=60)
-    if sharded.returncode != 0:
-        fail(f"cai-shard exited {sharded.returncode}: {sharded.stderr}")
-        return
-    if rc1 != 0 or rc2 != 0:
-        fail(f"sharded backends exited {rc1}/{rc2} after broadcast shutdown")
-    one_results = [l for l in split_lines(one.stdout) if not is_stats(l)]
-    shard_results = [l for l in split_lines(sharded.stdout)
-                     if not is_stats(l)]
-    if one_results != shard_results:
-        fail(f"2-shard vs 1-process analyze responses differ:\n"
-             f"  one:   {one_results}\n  shard: {shard_results}")
-    one_stats = json.loads(next(l for l in split_lines(one.stdout)
-                                if is_stats(l)))
-    shard_stats = json.loads(next(l for l in split_lines(sharded.stdout)
-                                  if is_stats(l)))
-    # workers legitimately differs (it sums across backends); every job
-    # must still be accounted for in the summed line.
-    if one_stats.get("jobs_completed") != shard_stats.get("jobs_completed"):
-        fail(f"summed stats 'jobs_completed' mismatch: "
-             f"one={one_stats.get('jobs_completed')} "
-             f"shard={shard_stats.get('jobs_completed')}")
-    if len(FAILURES) == before:
-        ok(f"2 shards byte-identical to 1 process over "
-           f"{len(shard_results)} responses, stats summed")
-
-
 def check_signal_shutdown(serve, batch, program, tmpdir):
     before = len(FAILURES)
     pdir = os.path.join(tmpdir, "persist-signal")
@@ -311,7 +266,6 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--serve", required=True)
     ap.add_argument("--batch", required=True)
-    ap.add_argument("--shard", required=True)
     ap.add_argument("--program", required=True)
     args = ap.parse_args()
 
@@ -332,7 +286,6 @@ def main():
         if cold_lines:
             check_corruption(args.batch, tmpdir, cold_lines)
         check_stdio_vs_tcp(args.serve, tmpdir)
-        check_shard_vs_one(args.serve, args.shard, tmpdir)
         check_signal_shutdown(args.serve, args.batch, args.program, tmpdir)
 
     if FAILURES:
