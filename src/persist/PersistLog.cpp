@@ -4,6 +4,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <vector>
 
 #include <fcntl.h>
 #include <sys/stat.h>
@@ -57,20 +58,6 @@ uint64_t getU64(const char *P) {
   return V;
 }
 
-bool writeAll(int Fd, const char *Data, size_t Size) {
-  while (Size) {
-    ssize_t N = ::write(Fd, Data, Size);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      return false;
-    }
-    Data += N;
-    Size -= size_t(N);
-  }
-  return true;
-}
-
 } // namespace
 
 uint32_t crc32(const void *Data, size_t Size) {
@@ -80,27 +67,6 @@ uint32_t crc32(const void *Data, size_t Size) {
   for (size_t I = 0; I < Size; ++I)
     C = T[(C ^ P[I]) & 0xFF] ^ (C >> 8);
   return C ^ 0xFFFFFFFFu;
-}
-
-unsigned shardOfFingerprint(const std::string &Fingerprint) {
-  if (Fingerprint.empty())
-    return 0;
-  char C = Fingerprint[0];
-  if (C >= '0' && C <= '9')
-    return unsigned(C - '0');
-  if (C >= 'a' && C <= 'f')
-    return unsigned(C - 'a') + 10;
-  if (C >= 'A' && C <= 'F')
-    return unsigned(C - 'A') + 10;
-  return 0;
-}
-
-std::string shardFileName(unsigned Shard) {
-  static const char Hex[] = "0123456789abcdef";
-  std::string Name = "shard-";
-  Name.push_back(Hex[Shard & 0xF]);
-  Name += ".log";
-  return Name;
 }
 
 std::string encodeHeader(uint64_t SchemaVersion, uint64_t OptionsVersion) {
@@ -137,113 +103,121 @@ std::string encodeRecordFrame(const std::string &Payload) {
   return Frame;
 }
 
-PersistLog::PersistLog(std::string Dir, uint64_t SchemaVersion,
-                       uint64_t OptionsVersion)
-    : Dir(std::move(Dir)), SchemaVersion(SchemaVersion),
-      OptionsVersion(OptionsVersion), Fds(PersistNumShards, -1),
-      Sizes(PersistNumShards, 0), Pending(PersistNumShards) {}
-
-PersistLog::~PersistLog() { closeFiles(); }
-
-bool PersistLog::open(std::string *Error, std::vector<uint64_t> *ShardBytes) {
-  closeFiles();
-  if (::mkdir(Dir.c_str(), 0755) != 0 && errno != EEXIST) {
-    if (Error)
-      *Error = "cannot create " + Dir + ": " + std::strerror(errno);
-    return false;
-  }
-  for (unsigned S = 0; S < PersistNumShards; ++S) {
-    std::string Path = Dir + "/" + shardFileName(S);
-    int Fd = ::open(Path.c_str(), O_RDWR | O_CREAT | O_APPEND | O_CLOEXEC,
-                    0644);
-    if (Fd < 0) {
-      if (Error)
-        *Error = "cannot open " + Path + ": " + std::strerror(errno);
-      closeFiles();
+bool writeAll(int Fd, const char *Data, size_t Size) {
+  while (Size) {
+    ssize_t N = ::write(Fd, Data, Size);
+    if (N < 0) {
+      if (errno == EINTR)
+        continue;
       return false;
     }
-    struct stat St;
-    if (::fstat(Fd, &St) != 0) {
-      if (Error)
-        *Error = "cannot stat " + Path + ": " + std::strerror(errno);
-      ::close(Fd);
-      closeFiles();
-      return false;
-    }
-    Fds[S] = Fd;
-    Sizes[S] = uint64_t(St.st_size);
-    Pending[S].clear();
-    if (Sizes[S] == 0) {
-      std::string H = encodeHeader(SchemaVersion, OptionsVersion);
-      if (!writeAll(Fd, H.data(), H.size())) {
-        if (Error)
-          *Error = "cannot write header to " + Path + ": " +
-                   std::strerror(errno);
-        closeFiles();
-        return false;
-      }
-      Sizes[S] = H.size();
-    }
+    Data += N;
+    Size -= size_t(N);
   }
-  PendingBytes = 0;
-  if (ShardBytes)
-    *ShardBytes = Sizes;
   return true;
 }
 
-uint64_t PersistLog::append(unsigned Shard, const std::string &Payload) {
-  std::string Frame = encodeRecordFrame(Payload);
-  uint64_t Offset = Sizes[Shard];
-  Pending[Shard] += Frame;
-  Sizes[Shard] += Frame.size();
-  PendingBytes += Frame.size();
+bool preadAll(int Fd, char *Data, size_t Size, uint64_t Offset) {
+  while (Size) {
+    ssize_t N = ::pread(Fd, Data, Size, off_t(Offset));
+    if (N < 0) {
+      if (errno == EINTR)
+        continue;
+      return false;
+    }
+    if (N == 0)
+      return false; // Short file: truncated since indexing.
+    Data += N;
+    Size -= size_t(N);
+    Offset += uint64_t(N);
+  }
+  return true;
+}
+
+PersistLog::PersistLog(std::string Dir, uint64_t SchemaVersion,
+                       uint64_t OptionsVersion)
+    : Dir(Dir), Path(Dir + "/" + PersistLogFileName),
+      SchemaVersion(SchemaVersion), OptionsVersion(OptionsVersion) {}
+
+PersistLog::~PersistLog() { close(); }
+
+bool PersistLog::open(std::string *Error) {
+  close();
+  Pending.clear();
+  Restamped = false;
+  auto Fail = [&](const std::string &What, const std::string &Of) {
+    if (Error)
+      *Error = What + " " + Of + ": " + std::strerror(errno);
+    close();
+    return false;
+  };
+  if (::mkdir(Dir.c_str(), 0755) != 0 && errno != EEXIST)
+    return Fail("cannot create", Dir);
+  Fd = ::open(Path.c_str(), O_RDWR | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
+  if (Fd < 0)
+    return Fail("cannot open", Path);
+  struct stat St;
+  if (::fstat(Fd, &St) != 0)
+    return Fail("cannot stat", Path);
+  Size = uint64_t(St.st_size);
+  if (Size != 0) {
+    // Reject a stale-format file *before* appending to it: current-schema
+    // records under a header that declares another schema would poison
+    // later loads.  A file too short for a header fails the check too.
+    std::string Header(PersistHeaderBytes, '\0');
+    ssize_t N = ::pread(Fd, &Header[0], Header.size(), 0);
+    if (N < 0)
+      return Fail("cannot read", Path);
+    Header.resize(size_t(N));
+    if (!checkHeader(Header, SchemaVersion, OptionsVersion)) {
+      if (::ftruncate(Fd, 0) != 0)
+        return Fail("cannot truncate", Path);
+      Size = 0;
+      Restamped = true;
+    }
+  }
+  if (Size == 0) {
+    std::string H = encodeHeader(SchemaVersion, OptionsVersion);
+    if (!writeAll(Fd, H.data(), H.size()))
+      return Fail("cannot write header to", Path);
+    Size = H.size();
+  }
+  return true;
+}
+
+uint64_t PersistLog::append(const std::string &Payload) {
+  uint64_t Offset = Size;
+  Pending += encodeRecordFrame(Payload);
+  Size = Offset + PersistRecordOverhead + Payload.size();
   return Offset;
 }
 
 bool PersistLog::flush(std::string *Error) {
-  if (PendingBytes == 0)
+  if (Pending.empty())
     return true;
-  for (unsigned S = 0; S < PersistNumShards; ++S) {
-    if (Pending[S].empty())
-      continue;
-    int Fd = Fds[S];
-    if (Fd < 0) {
-      if (Error)
-        *Error = "persist log not open";
-      return false;
-    }
-    if (!writeAll(Fd, Pending[S].data(), Pending[S].size())) {
-      if (Error)
-        *Error = "write failed on " + shardFileName(S) + ": " +
-                 std::strerror(errno);
-      return false;
-    }
-    if (::fsync(Fd) != 0) {
-      if (Error)
-        *Error = "fsync failed on " + shardFileName(S) + ": " +
-                 std::strerror(errno);
-      return false;
-    }
-    PendingBytes -= Pending[S].size();
-    Pending[S].clear();
+  if (Fd < 0) {
+    if (Error)
+      *Error = "persist log not open";
+    return false;
   }
+  auto Fail = [&](const char *What) {
+    if (Error)
+      *Error = What + Path + ": " + std::strerror(errno);
+    return false;
+  };
+  if (!writeAll(Fd, Pending.data(), Pending.size()))
+    return Fail("write failed on ");
+  if (::fsync(Fd) != 0)
+    return Fail("fsync failed on ");
+  Pending.clear();
   ++Flushes;
   return true;
 }
 
-uint64_t PersistLog::totalBytes() const {
-  uint64_t Total = 0;
-  for (uint64_t S : Sizes)
-    Total += S;
-  return Total;
-}
-
-void PersistLog::closeFiles() {
-  for (int &Fd : Fds) {
-    if (Fd >= 0)
-      ::close(Fd);
-    Fd = -1;
-  }
+void PersistLog::close() {
+  if (Fd >= 0)
+    ::close(Fd);
+  Fd = -1;
 }
 
 } // namespace persist

@@ -9,9 +9,9 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <type_traits>
 
 #include <fcntl.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 namespace cai {
@@ -37,35 +37,24 @@ bool boolField(const Json &Obj, const char *Key) {
   return V && V->isBool() && V->asBool();
 }
 
-bool preadAll(int Fd, char *Data, size_t Size, uint64_t Offset) {
-  while (Size) {
-    ssize_t N = ::pread(Fd, Data, Size, off_t(Offset));
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      return false;
-    }
-    if (N == 0)
-      return false; // Short file: truncated since indexing.
-    Data += N;
-    Size -= size_t(N);
-    Offset += uint64_t(N);
-  }
-  return true;
-}
-
-bool writeAllFd(int Fd, const char *Data, size_t Size) {
-  while (Size) {
-    ssize_t N = ::write(Fd, Data, Size);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      return false;
-    }
-    Data += N;
-    Size -= size_t(N);
-  }
-  return true;
+/// Calls \p Fn(key, field) for every AnalyzerStats field.  All of them
+/// ride along in a record: a disk hit must replay the original run's
+/// stats byte-for-byte on the wire, same as a memory hit.
+template <class Stats, class FnT> void forEachStat(Stats &S, FnT &&Fn) {
+  Fn("joins", S.Joins);
+  Fn("widenings", S.Widenings);
+  Fn("transfers", S.Transfers);
+  Fn("entailment_checks", S.EntailmentChecks);
+  Fn("edge_evals", S.EdgeEvals);
+  Fn("transfer_cache_hits", S.TransferCacheHits);
+  Fn("cache_hits", S.CacheHits);
+  Fn("cache_misses", S.CacheMisses);
+  Fn("saturation_rounds", S.SaturationRounds);
+  Fn("wto_components", S.WtoComponents);
+  Fn("max_node_updates", S.MaxNodeUpdates);
+  Fn("total_node_updates", S.TotalNodeUpdates);
+  Fn("components_reused", S.ComponentsReused);
+  Fn("components_recomputed", S.ComponentsRecomputed);
 }
 
 } // namespace
@@ -102,28 +91,10 @@ std::string encodeResultPayload(const JobResult &R) {
     }
     P.set("findings", std::move(Fs));
   }
-  // Every AnalyzerStats field rides along: a disk hit must replay the
-  // original run's stats byte-for-byte on the wire, same as a memory hit.
   Json St = Json::object();
-  St.set("joins", Json::integer(int64_t(R.Stats.Joins)));
-  St.set("widenings", Json::integer(int64_t(R.Stats.Widenings)));
-  St.set("transfers", Json::integer(int64_t(R.Stats.Transfers)));
-  St.set("entailment_checks", Json::integer(int64_t(R.Stats.EntailmentChecks)));
-  St.set("edge_evals", Json::integer(int64_t(R.Stats.EdgeEvals)));
-  St.set("transfer_cache_hits",
-         Json::integer(int64_t(R.Stats.TransferCacheHits)));
-  St.set("cache_hits", Json::integer(int64_t(R.Stats.CacheHits)));
-  St.set("cache_misses", Json::integer(int64_t(R.Stats.CacheMisses)));
-  St.set("saturation_rounds",
-         Json::integer(int64_t(R.Stats.SaturationRounds)));
-  St.set("wto_components", Json::integer(int64_t(R.Stats.WtoComponents)));
-  St.set("max_node_updates", Json::integer(int64_t(R.Stats.MaxNodeUpdates)));
-  St.set("total_node_updates",
-         Json::integer(int64_t(R.Stats.TotalNodeUpdates)));
-  St.set("components_reused",
-         Json::integer(int64_t(R.Stats.ComponentsReused)));
-  St.set("components_recomputed",
-         Json::integer(int64_t(R.Stats.ComponentsRecomputed)));
+  forEachStat(R.Stats, [&](const char *Key, auto V) {
+    St.set(Key, Json::integer(int64_t(V)));
+  });
   P.set("stats", std::move(St));
   return P.dump();
 }
@@ -171,26 +142,9 @@ bool decodeResultPayload(const std::string &Payload, JobResult *R) {
   if (const Json *St = P.get("stats")) {
     if (!St->isObject())
       return false;
-    Out.Stats.Joins = (unsigned long)intField(*St, "joins");
-    Out.Stats.Widenings = (unsigned long)intField(*St, "widenings");
-    Out.Stats.Transfers = (unsigned long)intField(*St, "transfers");
-    Out.Stats.EntailmentChecks =
-        (unsigned long)intField(*St, "entailment_checks");
-    Out.Stats.EdgeEvals = (unsigned long)intField(*St, "edge_evals");
-    Out.Stats.TransferCacheHits =
-        (unsigned long)intField(*St, "transfer_cache_hits");
-    Out.Stats.CacheHits = (unsigned long)intField(*St, "cache_hits");
-    Out.Stats.CacheMisses = (unsigned long)intField(*St, "cache_misses");
-    Out.Stats.SaturationRounds =
-        (unsigned long)intField(*St, "saturation_rounds");
-    Out.Stats.WtoComponents = unsigned(intField(*St, "wto_components"));
-    Out.Stats.MaxNodeUpdates = unsigned(intField(*St, "max_node_updates"));
-    Out.Stats.TotalNodeUpdates =
-        unsigned(intField(*St, "total_node_updates"));
-    Out.Stats.ComponentsReused =
-        unsigned(intField(*St, "components_reused"));
-    Out.Stats.ComponentsRecomputed =
-        unsigned(intField(*St, "components_recomputed"));
+    forEachStat(Out.Stats, [&](const char *Key, auto &V) {
+      V = std::remove_reference_t<decltype(V)>(intField(*St, Key));
+    });
   }
   Out.CacheHit = false;
   Out.DurationMs = 0;
@@ -200,8 +154,7 @@ bool decodeResultPayload(const std::string &Payload, JobResult *R) {
 
 PersistStore::PersistStore(std::string Dir, uint64_t ByteBudget,
                            unsigned FlushEvery)
-    : Dir(Dir), Budget(ByteBudget),
-      FlushEvery(FlushEvery == 0 ? 1 : FlushEvery),
+    : Budget(ByteBudget), FlushEvery(FlushEvery == 0 ? 1 : FlushEvery),
       Log(std::move(Dir), service::CacheSchemaVersion,
           service::OptionsFormatVersion) {
   S.ByteBudget = ByteBudget;
@@ -217,66 +170,26 @@ PersistStore::~PersistStore() {
 bool PersistStore::open(std::string *Error) {
   std::lock_guard<std::mutex> L(Mu);
   Index.clear();
-  NextSeq = 0;
-
-  // Pass 1: reject stale-format files *before* the log opens them for
-  // appending -- appending current-schema records to a file whose header
-  // declares another schema would poison later loads.  A rejected file
-  // is truncated to empty (the log then stamps a fresh header).
-  if (::mkdir(Dir.c_str(), 0755) != 0 && errno != EEXIST) {
-    if (Error)
-      *Error = "cannot create " + Dir + ": " + std::strerror(errno);
-    return false;
-  }
-  for (unsigned Sh = 0; Sh < PersistNumShards; ++Sh) {
-    std::string Path = Dir + "/" + shardFileName(Sh);
-    int Fd = ::open(Path.c_str(), O_RDONLY | O_CLOEXEC);
-    if (Fd < 0)
-      continue; // Not created yet.
-    char Buf[PersistHeaderBytes];
-    ssize_t N = ::pread(Fd, Buf, sizeof(Buf), 0);
-    ::close(Fd);
-    if (N <= 0)
-      continue; // Empty file: the log stamps a header.
-    std::string Header(Buf, size_t(std::max<ssize_t>(N, 0)));
-    if (!checkHeader(Header, service::CacheSchemaVersion,
-                     service::OptionsFormatVersion)) {
-      ++S.StaleFiles;
-      ::truncate(Path.c_str(), 0);
-    }
-  }
-
   if (!Log.open(Error))
     return false;
-
-  // Pass 2: verify and index every record.
-  for (unsigned Sh = 0; Sh < PersistNumShards; ++Sh)
-    if (!loadShard(Sh, Error))
-      return false;
-
+  if (Log.restamped())
+    ++S.StaleFiles;
+  if (!loadLocked(Error))
+    return false;
   Opened = true;
   S.LiveRecords = Index.size();
-  S.LogBytes = Log.totalBytes();
+  S.LogBytes = Log.size();
   return true;
 }
 
-bool PersistStore::loadShard(unsigned Sh, std::string *Error) {
-  int Fd = Log.fd(Sh);
-  struct stat St;
-  if (::fstat(Fd, &St) != 0) {
-    if (Error)
-      *Error = "cannot stat " + shardFileName(Sh) + ": " +
-               std::strerror(errno);
-    return false;
-  }
-  uint64_t Size = uint64_t(St.st_size);
+bool PersistStore::loadLocked(std::string *Error) {
+  uint64_t Size = Log.size();
   if (Size <= PersistHeaderBytes)
     return true;
   std::string Data(size_t(Size - PersistHeaderBytes), '\0');
-  if (!preadAll(Fd, &Data[0], Data.size(), PersistHeaderBytes)) {
+  if (!preadAll(Log.fd(), &Data[0], Data.size(), PersistHeaderBytes)) {
     if (Error)
-      *Error = "cannot read " + shardFileName(Sh) + ": " +
-               std::strerror(errno);
+      *Error = "cannot read " + Log.path() + ": " + std::strerror(errno);
     return false;
   }
 
@@ -292,7 +205,7 @@ bool PersistStore::loadShard(unsigned Sh, std::string *Error) {
     if (Len > PersistMaxRecordBytes ||
         Data.size() - Pos - PersistRecordOverhead < Len) {
       // Implausible length or fewer bytes than promised: cannot resync
-      // past this point, drop the rest of the shard's tail.
+      // past this point, drop the rest of the file's tail.
       ++S.Corrupt;
       break;
     }
@@ -304,43 +217,41 @@ bool PersistStore::loadShard(unsigned Sh, std::string *Error) {
       continue;
     }
     JobResult R;
-    if (!decodeResultPayload(std::string(Payload, Len), &R) ||
-        shardOfFingerprint(R.Fingerprint) != Sh) {
+    if (!decodeResultPayload(std::string(Payload, Len), &R)) {
       ++S.Corrupt;
       continue;
     }
     // Newest record per fingerprint wins (append-only updates).
-    IndexEntry &E = Index[R.Fingerprint];
-    E.Shard = Sh;
-    E.Offset = FrameOffset;
-    E.PayloadLen = Len;
-    E.Seq = NextSeq++;
+    Index[R.Fingerprint] = {FrameOffset, Len};
   }
   return true;
 }
 
-std::shared_ptr<const JobResult> PersistStore::readEntryLocked(
-    const std::string &Fingerprint, const IndexEntry &E) {
+bool PersistStore::readFrameLocked(const IndexEntry &E, std::string *Frame) {
   // The indexed frame may still sit in the write buffer; make it
   // readable first.
   if (Log.hasPending()) {
     std::string Err;
     if (!flushLocked(&Err))
-      return nullptr;
+      return false;
   }
-  std::string Frame(PersistRecordOverhead + E.PayloadLen, '\0');
-  if (!preadAll(Log.fd(E.Shard), &Frame[0], Frame.size(), E.Offset)) {
-    ++S.Corrupt;
-    Index.erase(Fingerprint);
-    return nullptr;
-  }
+  Frame->assign(PersistRecordOverhead + E.PayloadLen, '\0');
+  if (!preadAll(Log.fd(), &(*Frame)[0], Frame->size(), E.Offset))
+    return false;
   uint32_t Len = 0, Crc = 0;
-  std::memcpy(&Len, Frame.data(), 4);
-  std::memcpy(&Crc, Frame.data() + 4, 4);
-  std::string Payload = Frame.substr(PersistRecordOverhead);
+  std::memcpy(&Len, Frame->data(), 4);
+  std::memcpy(&Crc, Frame->data() + 4, 4);
+  return Len == E.PayloadLen &&
+         crc32(Frame->data() + PersistRecordOverhead, Len) == Crc;
+}
+
+std::shared_ptr<const JobResult> PersistStore::readEntryLocked(
+    const std::string &Fingerprint, const IndexEntry &E) {
+  std::string Frame;
   auto R = std::make_shared<JobResult>();
-  if (Len != E.PayloadLen || crc32(Payload.data(), Payload.size()) != Crc ||
-      !decodeResultPayload(Payload, R.get()) || R->Fingerprint != Fingerprint) {
+  if (!readFrameLocked(E, &Frame) ||
+      !decodeResultPayload(Frame.substr(PersistRecordOverhead), R.get()) ||
+      R->Fingerprint != Fingerprint) {
     ++S.Corrupt;
     Index.erase(Fingerprint);
     return nullptr;
@@ -348,26 +259,29 @@ std::shared_ptr<const JobResult> PersistStore::readEntryLocked(
   return R;
 }
 
+std::vector<std::string> PersistStore::appendOrderLocked() const {
+  // One append-only file: a record's offset is its age.
+  std::vector<std::pair<uint64_t, const std::string *>> ByOffset;
+  ByOffset.reserve(Index.size());
+  for (const auto &[FP, E] : Index)
+    ByOffset.emplace_back(E.Offset, &FP);
+  std::sort(ByOffset.begin(), ByOffset.end());
+  std::vector<std::string> Order;
+  Order.reserve(ByOffset.size());
+  for (const auto &[Offset, FP] : ByOffset)
+    Order.push_back(*FP);
+  return Order;
+}
+
 std::shared_ptr<const JobResult> PersistStore::lookup(
     const std::string &Fingerprint) {
   std::lock_guard<std::mutex> L(Mu);
-  if (!Opened) {
-    ++S.Misses;
-    return nullptr;
-  }
-  auto It = Index.find(Fingerprint);
-  if (It == Index.end()) {
-    ++S.Misses;
-    return nullptr;
-  }
-  IndexEntry E = It->second;
-  std::shared_ptr<const JobResult> R = readEntryLocked(Fingerprint, E);
-  if (!R) {
-    ++S.Misses;
-    S.LiveRecords = Index.size();
-    return nullptr;
-  }
-  ++S.Hits;
+  auto It = Opened ? Index.find(Fingerprint) : Index.end();
+  std::shared_ptr<const JobResult> R;
+  if (It != Index.end())
+    R = readEntryLocked(Fingerprint, It->second);
+  ++(R ? S.Hits : S.Misses);
+  S.LiveRecords = Index.size();
   return R;
 }
 
@@ -376,21 +290,15 @@ void PersistStore::append(const JobResult &R) {
   if (!Opened || R.Fingerprint.empty() || !service::jobCacheable(R.Status))
     return;
   std::string Payload = encodeResultPayload(R);
-  unsigned Sh = shardOfFingerprint(R.Fingerprint);
-  uint64_t Offset = Log.append(Sh, Payload);
-  IndexEntry &E = Index[R.Fingerprint];
-  E.Shard = Sh;
-  E.Offset = Offset;
-  E.PayloadLen = uint32_t(Payload.size());
-  E.Seq = NextSeq++;
+  Index[R.Fingerprint] = {Log.append(Payload), uint32_t(Payload.size())};
   ++S.Appends;
   S.LiveRecords = Index.size();
-  S.LogBytes = Log.totalBytes();
+  S.LogBytes = Log.size();
   if (++AppendsSinceFlush >= FlushEvery) {
     std::string Err;
     flushLocked(&Err);
   }
-  if (Budget && Log.totalBytes() > Budget)
+  if (Budget && Log.size() > Budget)
     compactLocked();
 }
 
@@ -415,13 +323,8 @@ uint64_t PersistStore::replayInto(service::ResultCache &Cache) {
     return 0;
   // Oldest-first so the newest records land most-recently-used in the
   // LRU (and survive longest if the memory budget is tighter than disk).
-  std::vector<std::pair<uint64_t, std::string>> Order;
-  Order.reserve(Index.size());
-  for (const auto &[FP, E] : Index)
-    Order.emplace_back(E.Seq, FP);
-  std::sort(Order.begin(), Order.end());
   uint64_t N = 0;
-  for (const auto &[Seq, FP] : Order) {
+  for (const std::string &FP : appendOrderLocked()) {
     auto It = Index.find(FP);
     if (It == Index.end())
       continue; // Dropped by a corrupt read earlier in the loop.
@@ -441,96 +344,51 @@ void PersistStore::compactLocked() {
   if (!flushLocked(&Err))
     return;
 
-  // Live records in append order; evict oldest until the rewritten log
-  // would fit the budget.
-  std::vector<std::pair<uint64_t, std::string>> Order;
-  Order.reserve(Index.size());
-  for (const auto &[FP, E] : Index)
-    Order.emplace_back(E.Seq, FP);
-  std::sort(Order.begin(), Order.end());
-
-  uint64_t Projected = PersistNumShards * PersistHeaderBytes;
-  for (const auto &[Seq, FP] : Order)
+  // Evict oldest until the rewritten log would fit the budget.
+  std::vector<std::string> Order = appendOrderLocked();
+  uint64_t Projected = PersistHeaderBytes;
+  for (const std::string &FP : Order)
     Projected += PersistRecordOverhead + Index[FP].PayloadLen;
   size_t Drop = 0;
-  while (Budget && Projected > Budget && Drop < Order.size()) {
-    Projected -=
-        PersistRecordOverhead + Index[Order[Drop].second].PayloadLen;
+  while (Projected > Budget && Drop < Order.size()) {
+    Projected -= PersistRecordOverhead + Index[Order[Drop]].PayloadLen;
     ++Drop;
   }
 
-  // Fetch surviving payloads before the files are replaced.
-  struct Live {
-    std::string FP;
-    std::string Payload;
-  };
-  std::vector<std::vector<Live>> PerShard(PersistNumShards);
-  for (size_t I = Drop; I < Order.size(); ++I) {
-    const std::string &FP = Order[I].second;
-    auto It = Index.find(FP);
-    if (It == Index.end())
-      continue;
-    const IndexEntry &E = It->second;
-    std::string Frame(PersistRecordOverhead + E.PayloadLen, '\0');
-    if (!preadAll(Log.fd(E.Shard), &Frame[0], Frame.size(), E.Offset)) {
+  // Write the header and the surviving frames, still oldest first, to a
+  // .tmp, fsync it and rename it over the log.  A crash mid-compaction
+  // leaves either the old file or the complete new one -- never a
+  // half-written rename.  Each frame is re-verified on the way and
+  // copied as read, so its checksum still covers the original bytes.
+  std::string Tmp = Log.path() + ".tmp";
+  int Fd = ::open(Tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (Fd < 0)
+    return; // Keep the old (oversized but valid) file.
+  std::string Header =
+      encodeHeader(service::CacheSchemaVersion, service::OptionsFormatVersion);
+  bool Ok = writeAll(Fd, Header.data(), Header.size());
+  uint64_t Offset = Header.size();
+  std::vector<std::pair<std::string, IndexEntry>> Kept;
+  std::string Frame;
+  for (size_t I = Drop; Ok && I < Order.size(); ++I) {
+    const IndexEntry &Old = Index[Order[I]];
+    if (!readFrameLocked(Old, &Frame)) {
       ++S.Corrupt;
       continue;
     }
-    PerShard[E.Shard].push_back(
-        {FP, Frame.substr(PersistRecordOverhead)});
+    Ok = writeAll(Fd, Frame.data(), Frame.size());
+    Kept.emplace_back(Order[I], IndexEntry{Offset, Old.PayloadLen});
+    Offset += Frame.size();
   }
-
-  // Rewrite each shard: header + surviving frames to a .tmp, fsync,
-  // rename over the old file.  A crash mid-compaction leaves either the
-  // old file or the complete new one -- never a half-written rename.
-  std::string Header =
-      encodeHeader(service::CacheSchemaVersion, service::OptionsFormatVersion);
-  std::vector<std::vector<std::pair<std::string, IndexEntry>>> NewEntries(
-      PersistNumShards);
-  bool WroteAll = true;
-  for (unsigned Sh = 0; Sh < PersistNumShards; ++Sh) {
-    std::string Tmp = Dir + "/" + shardFileName(Sh) + ".tmp";
-    int Fd = ::open(Tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
-                    0644);
-    if (Fd < 0) {
-      WroteAll = false;
-      break;
-    }
-    bool Ok = writeAllFd(Fd, Header.data(), Header.size());
-    uint64_t Offset = Header.size();
-    for (const Live &L : PerShard[Sh]) {
-      if (!Ok)
-        break;
-      std::string Frame = encodeRecordFrame(L.Payload);
-      Ok = writeAllFd(Fd, Frame.data(), Frame.size());
-      IndexEntry E;
-      E.Shard = Sh;
-      E.Offset = Offset;
-      E.PayloadLen = uint32_t(L.Payload.size());
-      NewEntries[Sh].emplace_back(L.FP, E);
-      Offset += Frame.size();
-    }
-    Ok = Ok && ::fsync(Fd) == 0;
-    ::close(Fd);
-    if (!Ok) {
-      ::unlink(Tmp.c_str());
-      WroteAll = false;
-      break;
-    }
-  }
-  if (!WroteAll)
-    return; // Keep the old (oversized but valid) files.
-
-  Log.closeFiles();
-  for (unsigned Sh = 0; Sh < PersistNumShards; ++Sh) {
-    std::string Tmp = Dir + "/" + shardFileName(Sh) + ".tmp";
-    std::string Path = Dir + "/" + shardFileName(Sh);
-    ::rename(Tmp.c_str(), Path.c_str());
+  Ok = Ok && ::fsync(Fd) == 0;
+  ::close(Fd);
+  if (!Ok || ::rename(Tmp.c_str(), Log.path().c_str()) != 0) {
+    ::unlink(Tmp.c_str());
+    return; // The old file and its index stay in service.
   }
 
   S.Evictions += Drop;
   ++S.Compactions;
-  uint64_t Seq = 0;
   Index.clear();
   std::string ReopenErr;
   if (!Log.open(&ReopenErr)) {
@@ -539,14 +397,10 @@ void PersistStore::compactLocked() {
     S.LogBytes = 0;
     return;
   }
-  for (unsigned Sh = 0; Sh < PersistNumShards; ++Sh)
-    for (auto &[FP, E] : NewEntries[Sh]) {
-      E.Seq = Seq++;
-      Index[FP] = E;
-    }
-  NextSeq = Seq;
+  for (auto &[FP, E] : Kept)
+    Index.emplace(std::move(FP), E);
   S.LiveRecords = Index.size();
-  S.LogBytes = Log.totalBytes();
+  S.LogBytes = Log.size();
 }
 
 PersistStats PersistStore::stats() const {

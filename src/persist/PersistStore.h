@@ -19,10 +19,11 @@
 /// never a crash (the corruption ctest tier pins all three paths).
 ///
 /// GC is log compaction: when the on-disk footprint exceeds the byte
-/// budget, live records (the newest per fingerprint) are rewritten to
-/// fresh shard files -- oldest-first eviction until the budget holds --
-/// and the old files are atomically replaced (write .tmp, fsync,
-/// rename).
+/// budget, live records (the newest per fingerprint) are rewritten in
+/// append order to a fresh file -- oldest-first eviction until the budget
+/// holds -- which atomically replaces the old one (write .tmp, fsync,
+/// rename).  The log is one file, so its order is the append order: a
+/// reopened store evicts and replays exactly as the writing one would.
 ///
 /// Thread-safe: one mutex serializes all operations; the scheduler's
 /// workers call lookup()/append() concurrently.
@@ -57,7 +58,7 @@ struct PersistStats {
   uint64_t Appends = 0;     ///< Records queued for the log.
   uint64_t Flushes = 0;     ///< fsync batches performed.
   uint64_t Corrupt = 0;     ///< Records dropped: framing/CRC/decode.
-  uint64_t StaleFiles = 0;  ///< Shard files rejected for header mismatch.
+  uint64_t StaleFiles = 0;  ///< Log files rejected for header mismatch.
   uint64_t Compactions = 0; ///< Log compaction runs.
   uint64_t Evictions = 0;   ///< Live records dropped by compaction GC.
   uint64_t Replayed = 0;    ///< Records replayed into the memory LRU.
@@ -89,11 +90,11 @@ public:
   PersistStore(const PersistStore &) = delete;
   PersistStore &operator=(const PersistStore &) = delete;
 
-  /// Opens the log directory, verifies every shard header and record,
-  /// and indexes the live (newest-per-fingerprint) records.  Corrupt
-  /// records/tails and stale files are counted and skipped -- open()
-  /// only fails (returning false with \p Error) on genuine I/O errors
-  /// like an uncreatable directory.
+  /// Opens the log, verifies its header and every record, and indexes the
+  /// live (newest-per-fingerprint) records.  Corrupt records/tails and a
+  /// stale file are counted and skipped -- open() only fails (returning
+  /// false with \p Error) on genuine I/O errors like an uncreatable
+  /// directory.
   bool open(std::string *Error);
 
   /// True once open() has succeeded.
@@ -123,21 +124,27 @@ public:
 
 private:
   struct IndexEntry {
-    unsigned Shard = 0;
-    uint64_t Offset = 0;   ///< Of the record frame (length word).
+    /// Of the record frame (length word).  The log is append-only and
+    /// compaction keeps the order, so a higher offset is a newer record.
+    uint64_t Offset = 0;
     uint32_t PayloadLen = 0;
-    uint64_t Seq = 0;      ///< Append order across the whole store.
   };
 
-  bool loadShard(unsigned S, std::string *Error);
-  /// pread + verify + decode the indexed record; on failure counts
-  /// corruption and drops the entry.  Caller holds Mu.
+  /// Verifies and indexes every record of the freshly opened log, in file
+  /// (= append) order.  Caller holds Mu.
+  bool loadLocked(std::string *Error);
+  /// pread the indexed frame into \p Frame and check its length and CRC.
+  /// Caller holds Mu.
+  bool readFrameLocked(const IndexEntry &E, std::string *Frame);
+  /// readFrameLocked + decode; on failure counts corruption and drops the
+  /// entry.  Caller holds Mu.
   std::shared_ptr<const service::JobResult> readEntryLocked(
       const std::string &Fingerprint, const IndexEntry &E);
+  /// Indexed fingerprints, oldest first.  Caller holds Mu.
+  std::vector<std::string> appendOrderLocked() const;
   bool flushLocked(std::string *Error);
   void compactLocked();
 
-  std::string Dir;
   uint64_t Budget;
   unsigned FlushEvery;
   PersistLog Log;
@@ -145,7 +152,6 @@ private:
 
   mutable std::mutex Mu;
   std::unordered_map<std::string, IndexEntry> Index;
-  uint64_t NextSeq = 0;
   unsigned AppendsSinceFlush = 0;
   PersistStats S;
 };

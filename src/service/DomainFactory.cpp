@@ -32,7 +32,7 @@ LogicalLattice *DomainFactory::build(const std::string &Spec) {
   if (!ListsInstance && Spec.find("lists") != std::string::npos)
     ListsInstance = std::make_unique<ListDomain>(Ctx);
   size_t Pos = 0;
-  LogicalLattice *L = parse(Spec, Pos);
+  LogicalLattice *L = parse(Spec, Pos, 0);
   if (!L)
     return nullptr;
   if (Pos != Spec.size()) {
@@ -42,14 +42,20 @@ LogicalLattice *DomainFactory::build(const std::string &Spec) {
   return L;
 }
 
-LogicalLattice *DomainFactory::parse(const std::string &S, size_t &Pos) {
+LogicalLattice *DomainFactory::parse(const std::string &S, size_t &Pos,
+                                     unsigned Depth) {
   auto StartsWith = [&](const char *Word) {
     size_t Len = std::strlen(Word);
     return S.compare(Pos, Len, Word) == 0;
   };
+  if (Depth > MaxDomainNesting) {
+    Error = "domain spec nests deeper than " +
+            std::to_string(MaxDomainNesting) + " levels";
+    return nullptr;
+  }
   if (Pos < S.size() && S[Pos] == '(') {
     ++Pos;
-    LogicalLattice *Inner = parse(S, Pos);
+    LogicalLattice *Inner = parse(S, Pos, Depth + 1);
     if (!Inner)
       return nullptr;
     if (Pos >= S.size() || S[Pos] != ')') {
@@ -63,7 +69,7 @@ LogicalLattice *DomainFactory::parse(const std::string &S, size_t &Pos) {
     if (!StartsWith(Kind) || S[Pos + std::strlen(Kind)] != ':')
       continue;
     Pos += std::strlen(Kind) + 1;
-    LogicalLattice *First = parse(S, Pos);
+    LogicalLattice *First = parse(S, Pos, Depth + 1);
     if (!First)
       return nullptr;
     if (Pos >= S.size() || S[Pos] != ',') {
@@ -71,7 +77,7 @@ LogicalLattice *DomainFactory::parse(const std::string &S, size_t &Pos) {
       return nullptr;
     }
     ++Pos;
-    LogicalLattice *Second = parse(S, Pos);
+    LogicalLattice *Second = parse(S, Pos, Depth + 1);
     if (!Second)
       return nullptr;
     if (std::strcmp(Kind, "direct") == 0)

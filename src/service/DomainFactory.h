@@ -10,6 +10,8 @@
 ///         | direct:<spec>,<spec> | reduced:<spec>,<spec>
 ///         | logical:<spec>,<spec> | '(' spec ')'
 ///
+/// Parentheses and products nest at most MaxDomainNesting levels deep.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CAI_SERVICE_DOMAINFACTORY_H
@@ -26,6 +28,12 @@ namespace cai {
 class ListDomain;
 
 namespace service {
+
+/// Deepest nesting of parentheses and products a --domain spec may use.
+/// The parser recurses once per level, and every product level adds a
+/// layer to each lattice operation, so an unbounded spec could exhaust the
+/// stack of a server thread; the deepest spec in the examples nests three.
+constexpr unsigned MaxDomainNesting = 16;
 
 /// Owns every lattice built while parsing a --domain spec (components must
 /// outlive the products referencing them).  One factory per analysis: the
@@ -48,7 +56,8 @@ public:
   const std::string &error() const { return Error; }
 
 private:
-  LogicalLattice *parse(const std::string &S, size_t &Pos);
+  /// Parses one spec at \p Depth levels of nesting.
+  LogicalLattice *parse(const std::string &S, size_t &Pos, unsigned Depth);
 
   std::unique_ptr<LogicalLattice> makeAffine();
   std::unique_ptr<LogicalLattice> makePoly();

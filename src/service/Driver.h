@@ -46,10 +46,6 @@ namespace service {
 /// be a way to ask for an unbounded number of them.
 constexpr uint64_t MaxWorkers = 256;
 
-/// Ceiling on --timeout-ms (about 31 years): keeps the deadline
-/// arithmetic on the nanosecond steady clock far from overflow.
-constexpr uint64_t MaxTimeoutMs = 1000000000000ull;
-
 /// Declarative `--name[=value]` parsing shared by every tool.
 class OptionTable {
 public:

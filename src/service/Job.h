@@ -24,6 +24,11 @@
 namespace cai {
 namespace service {
 
+/// Ceiling on JobOptions::TimeoutMs (about 31 years), from the command
+/// line and the wire alike: keeps the deadline arithmetic on the
+/// nanosecond steady clock far from overflow.
+constexpr uint64_t MaxTimeoutMs = 1000000000000ull;
+
 /// Per-job analysis options.  Everything that can change the analysis
 /// *result* participates in the cache fingerprint (service/Fingerprint.h);
 /// TimeoutMs and TestCrash do not, because their outcomes are never
@@ -46,9 +51,10 @@ struct JobOptions {
   bool Lint = false;
   /// Lint check selection (LintOptions::Checks); empty = every check.
   std::string LintChecks;
-  /// Per-job deadline in milliseconds; 0 = none.  Enforced cooperatively
-  /// by the fixpoint engine (AnalyzerOptions::Deadline): the job reports
-  /// JobStatus::Timeout, the process is never killed.
+  /// Per-job deadline in milliseconds; 0 = none, at most MaxTimeoutMs.
+  /// Enforced cooperatively by the fixpoint engine
+  /// (AnalyzerOptions::Deadline): the job reports JobStatus::Timeout, the
+  /// process is never killed.
   uint64_t TimeoutMs = 0;
   /// Test hook: the worker throws before analyzing, exercising the
   /// crash-isolation path (the service's analogue of --test-break-join).

@@ -4,7 +4,10 @@
 
 #include "persist/PersistStore.h"
 
+#include <algorithm>
+#include <limits>
 #include <sstream>
+#include <type_traits>
 
 using namespace cai;
 using namespace cai::service;
@@ -15,6 +18,20 @@ bool cai::service::jobOptionsFromJson(const Json &Obj, JobOptions &Opts,
     if (Error)
       *Error = Msg;
     return false;
+  };
+  // Numeric options obey their command-line flags' rules (OptionTable in
+  // service/Driver.h): a whole number that fits the destination, and no
+  // deadline past MaxTimeoutMs.
+  auto Whole = [&](const std::string &Key, const Json &V, auto &Dest,
+                   uint64_t Max = UINT64_MAX) {
+    using T = std::remove_reference_t<decltype(Dest)>;
+    Max = std::min<uint64_t>(Max, std::numeric_limits<T>::max());
+    if (V.kind() != Json::Kind::Int || V.asInt() < 0 ||
+        uint64_t(V.asInt()) > Max)
+      return Fail("option \"" + Key + "\" must be a whole number in [0, " +
+                  std::to_string(Max) + "]");
+    Dest = T(V.asInt());
+    return true;
   };
   if (const Json *Domain = Obj.get("domain")) {
     if (!Domain->isString())
@@ -32,13 +49,11 @@ bool cai::service::jobOptionsFromJson(const Json &Obj, JobOptions &Opts,
         return Fail("option \"encode\" must be a string");
       Opts.Encode = V.asString();
     } else if (Key == "widening_delay") {
-      if (!V.isNumber())
-        return Fail("option \"widening_delay\" must be a number");
-      Opts.WideningDelay = static_cast<unsigned>(V.asInt());
+      if (!Whole(Key, V, Opts.WideningDelay))
+        return false;
     } else if (Key == "narrowing_passes") {
-      if (!V.isNumber())
-        return Fail("option \"narrowing_passes\" must be a number");
-      Opts.NarrowingPasses = static_cast<unsigned>(V.asInt());
+      if (!Whole(Key, V, Opts.NarrowingPasses))
+        return false;
     } else if (Key == "semantic_convergence") {
       if (!V.isBool())
         return Fail("option \"semantic_convergence\" must be a boolean");
@@ -48,9 +63,8 @@ bool cai::service::jobOptionsFromJson(const Json &Obj, JobOptions &Opts,
         return Fail("option \"memoize\" must be a boolean");
       Opts.Memoize = V.asBool();
     } else if (Key == "poly_max_rows") {
-      if (!V.isNumber() || V.asInt() < 0)
-        return Fail("option \"poly_max_rows\" must be a non-negative number");
-      Opts.PolyMaxRows = static_cast<size_t>(V.asInt());
+      if (!Whole(Key, V, Opts.PolyMaxRows))
+        return false;
     } else if (Key == "lint") {
       if (!V.isBool())
         return Fail("option \"lint\" must be a boolean");
@@ -63,9 +77,8 @@ bool cai::service::jobOptionsFromJson(const Json &Obj, JobOptions &Opts,
         return Fail(LintErr);
       Opts.LintChecks = V.asString();
     } else if (Key == "timeout_ms") {
-      if (!V.isNumber() || V.asInt() < 0)
-        return Fail("option \"timeout_ms\" must be a non-negative number");
-      Opts.TimeoutMs = static_cast<uint64_t>(V.asInt());
+      if (!Whole(Key, V, Opts.TimeoutMs, MaxTimeoutMs))
+        return false;
     } else if (Key == "test_crash") {
       if (!V.isBool())
         return Fail("option \"test_crash\" must be a boolean");

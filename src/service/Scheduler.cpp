@@ -343,11 +343,12 @@ std::string AnalysisScheduler::telemetryJsonLine() {
   return Rep.dump();
 }
 
-/// runJobIsolated plus the telemetry wrappers: phase timing when \p LS
-/// asks, and -- when SlowMs is armed -- a per-job tracer that temporarily
-/// replaces whatever tracer is installed (the shard tracer, usually), so a
-/// job that overruns the threshold arrives with its own Perfetto-loadable
-/// engine trace instead of being lost in the merged timeline.
+/// runJobIsolated plus the outcome counters and the telemetry wrappers:
+/// phase timing when \p LS asks, and -- when SlowMs is armed -- a per-job
+/// tracer that temporarily replaces whatever tracer is installed (the
+/// shard tracer, usually), so a job that overruns the threshold arrives
+/// with its own Perfetto-loadable engine trace instead of being lost in
+/// the merged timeline.
 JobResult AnalysisScheduler::runCaptured(const JobSpec &Spec,
                                          const FixpointSnapshot *SnapIn,
                                          FixpointSnapshot *SnapOut,
@@ -400,6 +401,9 @@ JobResult AnalysisScheduler::runCaptured(const JobSpec &Spec,
            obs::EventField::str("trace", Rec.TracePath)});
     Hub.recordSlowJob(std::move(Rec));
   }
+  CAI_METRIC_INC("service.jobs.completed");
+  bumpStatusCounter(R.Status);
+  noteOutcome(Spec, R);
   return R;
 }
 
@@ -440,29 +444,51 @@ void AnalysisScheduler::noteOutcome(const JobSpec &Spec, const JobResult &R) {
               obs::EventField::str("name", R.Name)});
 }
 
+JobResult AnalysisScheduler::serveHit(const JobSpec &Spec,
+                                      const JobResult &Hit,
+                                      LifecycleSample *LS) {
+  JobResult R = Hit;
+  R.Id = Spec.Id;
+  R.Name = Spec.Name;
+  R.CacheHit = true;
+  R.DurationMs = 0;
+  if (LS)
+    LS->CacheHit = true;
+  return R;
+}
+
+void AnalysisScheduler::storeResult(const std::string &FP, const JobResult &R,
+                                    LifecycleSample *LS,
+                                    const std::function<void()> &AlsoPublish) {
+  if (!jobCacheable(R.Status))
+    return;
+  auto WriteBegin = LS ? std::chrono::steady_clock::now()
+                       : std::chrono::steady_clock::time_point();
+  Cache.insert(FP, std::make_shared<const JobResult>(R));
+  if (Opts.Persist)
+    Opts.Persist->append(R);
+  if (AlsoPublish)
+    AlsoPublish();
+  if (LS) {
+    LS->CacheWriteUs = static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - WriteBegin)
+            .count());
+    LS->HasCacheWrite = true;
+  }
+}
+
 JobResult AnalysisScheduler::executeOrServe(const JobSpec &Spec,
                                             LifecycleSample *LS) {
   // TestCrash jobs bypass both cache tiers entirely: the hook exists to
   // exercise the crash path, and crashes are not cacheable anyway.
-  if (Spec.Opts.TestCrash) {
-    JobResult R = runCaptured(Spec, nullptr, nullptr, LS);
-    CAI_METRIC_INC("service.jobs.completed");
-    bumpStatusCounter(R.Status);
-    noteOutcome(Spec, R);
-    return R;
-  }
+  if (Spec.Opts.TestCrash)
+    return runCaptured(Spec, nullptr, nullptr, LS);
 
   std::string FP = fingerprintJob(Spec);
   if (std::shared_ptr<const JobResult> Hit = Cache.lookup(FP)) {
     CAI_METRIC_INC("service.jobs.cache_hits");
-    JobResult R = *Hit;
-    R.Id = Spec.Id;
-    R.Name = Spec.Name;
-    R.CacheHit = true;
-    R.DurationMs = 0;
-    if (LS)
-      LS->CacheHit = true;
-    return R;
+    return serveHit(Spec, *Hit, LS);
   }
 
   // Disk tier: a memory miss probes the persist store before computing.
@@ -473,14 +499,7 @@ JobResult AnalysisScheduler::executeOrServe(const JobSpec &Spec,
     if (std::shared_ptr<const JobResult> DiskHit = Opts.Persist->lookup(FP)) {
       CAI_METRIC_INC("service.jobs.persist_hits");
       Cache.insert(FP, DiskHit);
-      JobResult R = *DiskHit;
-      R.Id = Spec.Id;
-      R.Name = Spec.Name;
-      R.CacheHit = true;
-      R.DurationMs = 0;
-      if (LS)
-        LS->CacheHit = true;
-      return R;
+      return serveHit(Spec, *DiskHit, LS);
     }
   }
 
@@ -490,23 +509,7 @@ JobResult AnalysisScheduler::executeOrServe(const JobSpec &Spec,
   const bool Identified = !Spec.ProgramId.empty() || Spec.Edit;
   if (!Identified) {
     JobResult R = runCaptured(Spec, nullptr, nullptr, LS);
-    CAI_METRIC_INC("service.jobs.completed");
-    bumpStatusCounter(R.Status);
-    noteOutcome(Spec, R);
-    if (jobCacheable(R.Status)) {
-      auto WriteBegin = LS ? std::chrono::steady_clock::now()
-                           : std::chrono::steady_clock::time_point();
-      Cache.insert(FP, std::make_shared<const JobResult>(R));
-      if (Opts.Persist)
-        Opts.Persist->append(R);
-      if (LS) {
-        LS->CacheWriteUs = static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                std::chrono::steady_clock::now() - WriteBegin)
-                .count());
-        LS->HasCacheWrite = true;
-      }
-    }
+    storeResult(FP, R, LS);
     return R;
   }
 
@@ -520,9 +523,6 @@ JobResult AnalysisScheduler::executeOrServe(const JobSpec &Spec,
 
   FixpointSnapshot SnapOut;
   JobResult R = runCaptured(Spec, SnapIn.get(), &SnapOut, LS);
-  CAI_METRIC_INC("service.jobs.completed");
-  bumpStatusCounter(R.Status);
-  noteOutcome(Spec, R);
 
   ComponentsReused.fetch_add(R.Stats.ComponentsReused,
                              std::memory_order_relaxed);
@@ -533,24 +533,12 @@ JobResult AnalysisScheduler::executeOrServe(const JobSpec &Spec,
   if (Spec.Edit && R.Stats.ComponentsReused == 0)
     IncrementalFallbacks.fetch_add(1, std::memory_order_relaxed);
 
-  if (jobCacheable(R.Status)) {
-    auto WriteBegin = LS ? std::chrono::steady_clock::now()
-                         : std::chrono::steady_clock::time_point();
-    Cache.insert(FP, std::make_shared<const JobResult>(R));
-    if (Opts.Persist)
-      Opts.Persist->append(R);
+  storeResult(FP, R, LS, [&] {
     if (SnapOut.Complete)
       Snapshots.insert(Spec.ProgramId, std::move(Canon), std::move(OptKey),
                        std::make_shared<const FixpointSnapshot>(
                            std::move(SnapOut)));
-    if (LS) {
-      LS->CacheWriteUs = static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              std::chrono::steady_clock::now() - WriteBegin)
-              .count());
-      LS->HasCacheWrite = true;
-    }
-  }
+  });
   return R;
 }
 

@@ -193,7 +193,17 @@ private:
   /// non-null, receives the parse/analyze/cache-write phase timings and
   /// the cache-hit flag (telemetry only).
   JobResult executeOrServe(const JobSpec &Spec, LifecycleSample *LS);
-  /// runJobIsolated plus the slow-job exemplar capture wrapper.
+  /// \p Hit re-issued as a cache hit under \p Spec's id and name.
+  static JobResult serveHit(const JobSpec &Spec, const JobResult &Hit,
+                            LifecycleSample *LS);
+  /// Publishes a cacheable \p R to the memory LRU and the persist log,
+  /// then runs \p AlsoPublish; the whole write is the telemetry
+  /// cache-write phase.  Uncacheable results are dropped.
+  void storeResult(const std::string &FP, const JobResult &R,
+                   LifecycleSample *LS,
+                   const std::function<void()> &AlsoPublish = nullptr);
+  /// runJobIsolated plus the outcome counters (completed, per-status,
+  /// event log) and the slow-job exemplar capture wrapper.
   JobResult runCaptured(const JobSpec &Spec, const FixpointSnapshot *SnapIn,
                         FixpointSnapshot *SnapOut, LifecycleSample *LS);
   /// Event-log reporting for failed/degraded outcomes.

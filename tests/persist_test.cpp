@@ -1,12 +1,13 @@
 //===- tests/persist_test.cpp - Persistent cache tier unit tests -----------===//
 //
 // The disk tier end to end at the library level: the CRC32 checksum, the
-// shard-file header versioning (stale schema/options files rejected
-// whole), record payload round-trips, the PersistStore's warm-restart
-// index and LRU replay, the three corruption paths (torn tail,
-// bit-flipped payload, wrong checksum) each degrading to a counted miss
-// rather than a crash or a wrong result, read-time re-verification, and
-// byte-budget GC via log compaction.
+// log-file header versioning (stale schema/options files rejected whole),
+// record payload round-trips, the PersistStore's warm-restart index and
+// LRU replay, the three corruption paths (torn tail, bit-flipped payload,
+// wrong checksum) each degrading to a counted miss rather than a crash or
+// a wrong result, read-time re-verification, byte-budget GC via log
+// compaction, and append order (= file order) deciding what compaction
+// evicts and what replay keeps, across reopens and repeated compactions.
 //
 //===----------------------------------------------------------------------===//
 
@@ -45,10 +46,12 @@ struct TempDir {
   std::string str() const { return Path.string(); }
 };
 
-/// A fingerprint whose leading hex digit pins its shard.
-std::string fpInShard(unsigned Shard, char Fill = 'a') {
+/// A fingerprint with leading hex digit \p Lead.  The order tests give
+/// older records a *higher* leading digit, so an order that follows the
+/// fingerprint instead of the file cannot pass them.
+std::string fp(unsigned Lead, char Fill = 'a') {
   std::string FP(32, Fill);
-  FP[0] = "0123456789abcdef"[Shard];
+  FP[0] = "0123456789abcdef"[Lead];
   return FP;
 }
 
@@ -67,9 +70,41 @@ JobResult makeResult(const std::string &FP, uint64_t Id = 0) {
   return R;
 }
 
-/// The shard file a fingerprint's records land in.
-fs::path shardPath(const TempDir &D, const std::string &FP) {
-  return D.Path / shardFileName(shardOfFingerprint(FP));
+/// The one log file of a persist directory.
+fs::path logPath(const TempDir &D) { return D.Path / PersistLogFileName; }
+
+/// Bytes one makeResult() record occupies in the log (frame included);
+/// equal for every fingerprint made by fp().
+uint64_t recordBytes() {
+  return encodeRecordFrame(encodeResultPayload(makeResult(fp(0)))).size();
+}
+
+/// Opens \p Store, reporting the error on failure.
+bool opened(PersistStore &Store) {
+  std::string Error;
+  bool Ok = Store.open(&Error);
+  EXPECT_TRUE(Ok) << Error;
+  return Ok;
+}
+
+/// Writes one record for \p FP to a fresh, then closed, log in \p D.
+void writeOne(const TempDir &D, const std::string &FP) {
+  PersistStore Store(D.str(), 0);
+  ASSERT_TRUE(opened(Store));
+  Store.append(makeResult(FP));
+  ASSERT_TRUE(Store.flush());
+}
+
+/// Offset of the first record's payload.
+constexpr uint64_t FirstPayload = PersistHeaderBytes + PersistRecordOverhead;
+
+/// Flips bits of the log byte at \p Offset in place.
+void flipLogByte(const TempDir &D, uint64_t Offset) {
+  std::fstream F(logPath(D), std::ios::in | std::ios::out | std::ios::binary);
+  F.seekg(static_cast<std::streamoff>(Offset));
+  char C = static_cast<char>(F.get());
+  F.seekp(static_cast<std::streamoff>(Offset));
+  F.put(static_cast<char>(C ^ 0x40));
 }
 
 // --- Container primitives ------------------------------------------------
@@ -78,14 +113,6 @@ TEST(PersistLog, Crc32KnownVector) {
   // The standard CRC-32 check value ("123456789" -> 0xCBF43926).
   EXPECT_EQ(crc32("123456789", 9), 0xCBF43926u);
   EXPECT_EQ(crc32("", 0), 0u);
-}
-
-TEST(PersistLog, ShardOfFingerprintIsLeadingNibble) {
-  EXPECT_EQ(shardOfFingerprint(fpInShard(0)), 0u);
-  EXPECT_EQ(shardOfFingerprint(fpInShard(9)), 9u);
-  EXPECT_EQ(shardOfFingerprint(fpInShard(15)), 15u);
-  EXPECT_EQ(shardFileName(0), "shard-0.log");
-  EXPECT_EQ(shardFileName(15), "shard-f.log");
 }
 
 TEST(PersistLog, HeaderVersionMismatchRejected) {
@@ -109,7 +136,7 @@ TEST(PersistLog, RecordFrameCarriesLengthAndChecksum) {
 // --- Payload round-trip --------------------------------------------------
 
 TEST(PersistPayload, RoundTripsEveryField) {
-  JobResult R = makeResult(fpInShard(4), 42);
+  JobResult R = makeResult(fp(4), 42);
   R.Linted = true;
   R.Findings.push_back(
       {"dead-branch", "warning", 12, 3, 5, "branch never taken",
@@ -140,7 +167,7 @@ TEST(PersistPayload, DecodeRejectsMalformedInput) {
   JobResult Out;
   EXPECT_FALSE(decodeResultPayload("not json", &Out));
   EXPECT_FALSE(decodeResultPayload("{}", &Out)); // No fingerprint.
-  JobResult R = makeResult(fpInShard(1));
+  JobResult R = makeResult(fp(1));
   std::string Good = encodeResultPayload(R);
   std::string BadStatus = Good;
   size_t At = BadStatus.find("assertions-failed");
@@ -153,11 +180,10 @@ TEST(PersistPayload, DecodeRejectsMalformedInput) {
 
 TEST(PersistStore, RoundTripAcrossReopen) {
   TempDir D("roundtrip");
-  std::string FP = fpInShard(7);
+  std::string FP = fp(7);
   {
     PersistStore Store(D.str(), /*ByteBudget=*/0);
-    std::string Error;
-    ASSERT_TRUE(Store.open(&Error)) << Error;
+    ASSERT_TRUE(opened(Store));
     Store.append(makeResult(FP, 1));
     EXPECT_TRUE(Store.flush());
     // Same-process lookup hits too (the scheduler's miss path).
@@ -166,24 +192,22 @@ TEST(PersistStore, RoundTripAcrossReopen) {
     EXPECT_EQ(Hit->Fingerprint, FP);
   }
   PersistStore Store(D.str(), 0);
-  std::string Error;
-  ASSERT_TRUE(Store.open(&Error)) << Error;
+  ASSERT_TRUE(opened(Store));
   EXPECT_EQ(Store.stats().LiveRecords, 1u);
   auto Hit = Store.lookup(FP);
   ASSERT_NE(Hit, nullptr);
   EXPECT_EQ(Hit->Status, JobStatus::AssertionsFailed);
   EXPECT_EQ(Hit->NumVerified, 1u);
-  EXPECT_EQ(Store.lookup(fpInShard(7, 'b')), nullptr); // Different job.
+  EXPECT_EQ(Store.lookup(fp(7, 'b')), nullptr); // Different job.
   EXPECT_EQ(Store.stats().Hits, 1u);
   EXPECT_EQ(Store.stats().Misses, 1u);
 }
 
 TEST(PersistStore, NewestRecordPerFingerprintWins) {
   TempDir D("newest");
-  std::string FP = fpInShard(2);
+  std::string FP = fp(2);
   PersistStore Store(D.str(), 0);
-  std::string Error;
-  ASSERT_TRUE(Store.open(&Error)) << Error;
+  ASSERT_TRUE(opened(Store));
   JobResult Old = makeResult(FP, 1);
   Old.Status = JobStatus::AssertionsFailed;
   JobResult New = makeResult(FP, 2);
@@ -193,7 +217,7 @@ TEST(PersistStore, NewestRecordPerFingerprintWins) {
   ASSERT_TRUE(Store.flush());
 
   PersistStore Reopened(D.str(), 0);
-  ASSERT_TRUE(Reopened.open(&Error)) << Error;
+  ASSERT_TRUE(opened(Reopened));
   EXPECT_EQ(Reopened.stats().LiveRecords, 1u);
   auto Hit = Reopened.lookup(FP);
   ASSERT_NE(Hit, nullptr);
@@ -203,58 +227,52 @@ TEST(PersistStore, NewestRecordPerFingerprintWins) {
 TEST(PersistStore, UncacheableAndUnfingerprintedResultsNotAppended) {
   TempDir D("uncacheable");
   PersistStore Store(D.str(), 0);
-  std::string Error;
-  ASSERT_TRUE(Store.open(&Error)) << Error;
-  JobResult Timeout = makeResult(fpInShard(1));
+  ASSERT_TRUE(opened(Store));
+  JobResult Timeout = makeResult(fp(1));
   Timeout.Status = JobStatus::Timeout;
   Store.append(Timeout);
-  JobResult NoFP = makeResult("");
-  Store.append(NoFP);
+  Store.append(makeResult(""));
   EXPECT_EQ(Store.stats().Appends, 0u);
   EXPECT_EQ(Store.stats().LiveRecords, 0u);
 }
 
 TEST(PersistStore, ReplayIntoSeedsTheMemoryTier) {
   TempDir D("replay");
-  std::string Error;
   {
     PersistStore Store(D.str(), 0);
-    ASSERT_TRUE(Store.open(&Error)) << Error;
+    ASSERT_TRUE(opened(Store));
     for (unsigned I = 0; I < 4; ++I)
-      Store.append(makeResult(fpInShard(I), I));
+      Store.append(makeResult(fp(I), I));
     ASSERT_TRUE(Store.flush());
   }
   PersistStore Store(D.str(), 0);
-  ASSERT_TRUE(Store.open(&Error)) << Error;
+  ASSERT_TRUE(opened(Store));
   ResultCache Cache(1 << 20);
   EXPECT_EQ(Store.replayInto(Cache), 4u);
   EXPECT_EQ(Store.stats().Replayed, 4u);
   EXPECT_EQ(Cache.stats().Entries, 4u);
-  auto Hit = Cache.lookup(fpInShard(2));
+  auto Hit = Cache.lookup(fp(2));
   ASSERT_NE(Hit, nullptr);
-  EXPECT_EQ(Hit->Fingerprint, fpInShard(2));
+  EXPECT_EQ(Hit->Fingerprint, fp(2));
 }
 
 // --- Version guards ------------------------------------------------------
 
 TEST(PersistStore, StaleSchemaFileRejectedWholesale) {
   TempDir D("stale");
-  std::string FP = fpInShard(5);
+  std::string FP = fp(5);
   {
     // A log written under the previous cache schema: every record in it
     // keyed by fingerprints the current code would compute differently.
     PersistLog OldLog(D.str(), CacheSchemaVersion - 1, OptionsFormatVersion);
     std::string Error;
     ASSERT_TRUE(OldLog.open(&Error)) << Error;
-    OldLog.append(shardOfFingerprint(FP),
-                  encodeResultPayload(makeResult(FP)));
+    OldLog.append(encodeResultPayload(makeResult(FP)));
     ASSERT_TRUE(OldLog.flush(&Error)) << Error;
-    OldLog.closeFiles();
   }
   PersistStore Store(D.str(), 0);
-  std::string Error;
-  ASSERT_TRUE(Store.open(&Error)) << Error;
-  EXPECT_GE(Store.stats().StaleFiles, 1u);
+  ASSERT_TRUE(opened(Store));
+  EXPECT_EQ(Store.stats().StaleFiles, 1u);
   EXPECT_EQ(Store.stats().LiveRecords, 0u);
   EXPECT_EQ(Store.lookup(FP), nullptr);
   // The stale file was truncated and restamped: new appends round-trip
@@ -262,31 +280,42 @@ TEST(PersistStore, StaleSchemaFileRejectedWholesale) {
   Store.append(makeResult(FP));
   ASSERT_TRUE(Store.flush());
   PersistStore Reopened(D.str(), 0);
-  ASSERT_TRUE(Reopened.open(&Error)) << Error;
+  ASSERT_TRUE(opened(Reopened));
   EXPECT_EQ(Reopened.stats().StaleFiles, 0u);
   ASSERT_NE(Reopened.lookup(FP), nullptr);
+}
+
+TEST(PersistStore, PreviousContainerVersionIsStale) {
+  // A log stamped by container version 1 is rejected whole like any other
+  // version mismatch; that layout's shard-*.log files are never read.
+  TempDir D("oldcontainer");
+  std::string FP = fp(4);
+  fs::create_directories(D.Path);
+  std::string Old = encodeHeader(CacheSchemaVersion, OptionsFormatVersion);
+  Old[4] = 1; // Container version word, little-endian.
+  Old += encodeRecordFrame(encodeResultPayload(makeResult(FP)));
+  for (const char *Name : {PersistLogFileName, "shard-4.log"})
+    std::ofstream(D.Path / Name, std::ios::binary) << Old;
+  PersistStore Store(D.str(), 0);
+  ASSERT_TRUE(opened(Store));
+  EXPECT_EQ(Store.stats().StaleFiles, 1u);
+  EXPECT_EQ(Store.stats().LiveRecords, 0u);
+  EXPECT_EQ(Store.lookup(FP), nullptr);
+  EXPECT_EQ(fs::file_size(logPath(D)), PersistHeaderBytes); // Restamped.
 }
 
 // --- Corruption paths ----------------------------------------------------
 
 TEST(PersistStore, TruncatedTailSkippedEarlierRecordsSurvive) {
   TempDir D("torn");
-  std::string FP = fpInShard(3);
-  std::string Error;
-  {
-    PersistStore Store(D.str(), 0);
-    ASSERT_TRUE(Store.open(&Error)) << Error;
-    Store.append(makeResult(FP));
-    ASSERT_TRUE(Store.flush());
-  }
-  // Simulate a crash mid-append: half a frame at the end of the shard.
-  {
-    std::ofstream Tail(shardPath(D, FP), std::ios::app | std::ios::binary);
-    std::string Frame = encodeRecordFrame("payload never finished");
-    Tail.write(Frame.data(), static_cast<std::streamsize>(Frame.size() / 2));
-  }
+  std::string FP = fp(3);
+  writeOne(D, FP);
+  // Simulate a crash mid-append: half a frame at the end of the log.
+  std::string Frame = encodeRecordFrame("payload never finished");
+  std::ofstream(logPath(D), std::ios::app | std::ios::binary)
+      << Frame.substr(0, Frame.size() / 2);
   PersistStore Store(D.str(), 0);
-  ASSERT_TRUE(Store.open(&Error)) << Error;
+  ASSERT_TRUE(opened(Store));
   EXPECT_GE(Store.stats().Corrupt, 1u);
   auto Hit = Store.lookup(FP); // The complete record still serves.
   ASSERT_NE(Hit, nullptr);
@@ -295,29 +324,11 @@ TEST(PersistStore, TruncatedTailSkippedEarlierRecordsSurvive) {
 
 TEST(PersistStore, BitFlippedPayloadIsACountedMiss) {
   TempDir D("bitflip");
-  std::string FP = fpInShard(6);
-  std::string Error;
-  {
-    PersistStore Store(D.str(), 0);
-    ASSERT_TRUE(Store.open(&Error)) << Error;
-    Store.append(makeResult(FP));
-    ASSERT_TRUE(Store.flush());
-  }
-  {
-    std::fstream F(shardPath(D, FP),
-                   std::ios::in | std::ios::out | std::ios::binary);
-    // Flip a bit in the payload, well past the header and frame words.
-    F.seekp(static_cast<std::streamoff>(PersistHeaderBytes +
-                                        PersistRecordOverhead + 10));
-    char C;
-    F.seekg(F.tellp());
-    F.get(C);
-    F.seekp(static_cast<std::streamoff>(PersistHeaderBytes +
-                                        PersistRecordOverhead + 10));
-    F.put(static_cast<char>(C ^ 0x40));
-  }
+  std::string FP = fp(6);
+  writeOne(D, FP);
+  flipLogByte(D, FirstPayload + 10);
   PersistStore Store(D.str(), 0);
-  ASSERT_TRUE(Store.open(&Error)) << Error;
+  ASSERT_TRUE(opened(Store));
   EXPECT_GE(Store.stats().Corrupt, 1u);
   EXPECT_EQ(Store.stats().LiveRecords, 0u);
   EXPECT_EQ(Store.lookup(FP), nullptr);
@@ -325,23 +336,11 @@ TEST(PersistStore, BitFlippedPayloadIsACountedMiss) {
 
 TEST(PersistStore, WrongChecksumIsACountedMiss) {
   TempDir D("badcrc");
-  std::string FP = fpInShard(9);
-  std::string Error;
-  {
-    PersistStore Store(D.str(), 0);
-    ASSERT_TRUE(Store.open(&Error)) << Error;
-    Store.append(makeResult(FP));
-    ASSERT_TRUE(Store.flush());
-  }
-  {
-    std::fstream F(shardPath(D, FP),
-                   std::ios::in | std::ios::out | std::ios::binary);
-    // The CRC word sits right after the length word.
-    F.seekp(static_cast<std::streamoff>(PersistHeaderBytes + 4));
-    F.put('\x5a');
-  }
+  std::string FP = fp(9);
+  writeOne(D, FP);
+  flipLogByte(D, PersistHeaderBytes + 4); // The CRC word follows the length.
   PersistStore Store(D.str(), 0);
-  ASSERT_TRUE(Store.open(&Error)) << Error;
+  ASSERT_TRUE(opened(Store));
   EXPECT_GE(Store.stats().Corrupt, 1u);
   EXPECT_EQ(Store.lookup(FP), nullptr);
 }
@@ -350,19 +349,12 @@ TEST(PersistStore, LookupReverifiesAtReadTime) {
   // The file can rot *after* open() indexed it; lookup() must catch that
   // too, drop the entry and serve a miss instead of a wrong result.
   TempDir D("readtime");
-  std::string FP = fpInShard(11);
-  std::string Error;
+  std::string FP = fp(11);
   PersistStore Store(D.str(), 0);
-  ASSERT_TRUE(Store.open(&Error)) << Error;
+  ASSERT_TRUE(opened(Store));
   Store.append(makeResult(FP));
   ASSERT_TRUE(Store.flush());
-  {
-    std::fstream F(shardPath(D, FP),
-                   std::ios::in | std::ios::out | std::ios::binary);
-    F.seekp(static_cast<std::streamoff>(PersistHeaderBytes +
-                                        PersistRecordOverhead + 5));
-    F.put('#');
-  }
+  flipLogByte(D, FirstPayload + 5);
   EXPECT_EQ(Store.lookup(FP), nullptr);
   EXPECT_GE(Store.stats().Corrupt, 1u);
   // The index entry was dropped: the retry is a cheap miss, not another
@@ -376,16 +368,13 @@ TEST(PersistStore, LookupReverifiesAtReadTime) {
 
 TEST(PersistStore, CompactionEnforcesTheByteBudget) {
   TempDir D("compact");
-  std::string Error;
   // ~700 bytes per record; a 4 KiB budget forces eviction well before 32
   // distinct fingerprints are in.
-  uint64_t Budget = 4096 + PersistNumShards * PersistHeaderBytes;
+  uint64_t Budget = 4096 + PersistHeaderBytes;
   PersistStore Store(D.str(), Budget, /*FlushEvery=*/1);
-  ASSERT_TRUE(Store.open(&Error)) << Error;
+  ASSERT_TRUE(opened(Store));
   for (unsigned I = 0; I < 32; ++I)
-    Store.append(makeResult(fpInShard(I % PersistNumShards,
-                                      static_cast<char>('a' + I / 16)),
-                            I));
+    Store.append(makeResult(fp(I % 16, static_cast<char>('a' + I / 16)), I));
   ASSERT_TRUE(Store.flush());
   PersistStats St = Store.stats();
   EXPECT_GE(St.Compactions, 1u);
@@ -394,15 +383,95 @@ TEST(PersistStore, CompactionEnforcesTheByteBudget) {
   EXPECT_LT(St.LiveRecords, 32u);
   EXPECT_GT(St.LiveRecords, 0u);
   // Eviction is oldest-first: the newest record must have survived.
-  EXPECT_NE(Store.lookup(fpInShard(31 % PersistNumShards, 'b')), nullptr);
+  EXPECT_NE(Store.lookup(fp(15, 'b')), nullptr);
 
-  // Compaction rewrote the files consistently: a reopen sees the same
-  // live set and every survivor still decodes.
+  // Compaction rewrote the file consistently: a reopen sees the same live
+  // set and every survivor still decodes.
   PersistStore Reopened(D.str(), Budget);
-  ASSERT_TRUE(Reopened.open(&Error)) << Error;
+  ASSERT_TRUE(opened(Reopened));
   EXPECT_EQ(Reopened.stats().LiveRecords, St.LiveRecords);
   EXPECT_EQ(Reopened.stats().Corrupt, 0u);
-  EXPECT_NE(Reopened.lookup(fpInShard(31 % PersistNumShards, 'b')), nullptr);
+  EXPECT_NE(Reopened.lookup(fp(15, 'b')), nullptr);
+}
+
+// --- One file, append order ----------------------------------------------
+
+TEST(PersistStore, OneLogFileHoldsEveryRecord) {
+  TempDir D("onefile");
+  PersistStore Store(D.str(), 0);
+  ASSERT_TRUE(opened(Store));
+  for (unsigned I = 0; I < 16; ++I)
+    Store.append(makeResult(fp(I), I));
+  ASSERT_TRUE(Store.flush());
+  EXPECT_EQ(Store.stats().Flushes, 1u); // One fsync for the whole batch.
+  std::vector<std::string> Names;
+  for (const fs::directory_entry &E : fs::directory_iterator(D.Path))
+    Names.push_back(E.path().filename().string());
+  EXPECT_EQ(Names, std::vector<std::string>{PersistLogFileName});
+  EXPECT_EQ(fs::file_size(logPath(D)), PersistHeaderBytes + 16 * recordBytes());
+}
+
+/// Appends four old records (leading digit f) and then four newer ones
+/// (leading digit 0) to a fresh, unbounded store in \p D.
+void appendOldThenNew(const TempDir &D) {
+  PersistStore Store(D.str(), 0);
+  ASSERT_TRUE(opened(Store));
+  for (unsigned I = 0; I < 8; ++I)
+    Store.append(makeResult(fp(I < 4 ? 15 : 0, char('a' + I % 4)), I));
+  ASSERT_TRUE(Store.flush());
+}
+
+TEST(PersistStore, CompactionAfterReopenEvictsOldest) {
+  TempDir D("reopen_evict");
+  appendOldThenNew(D);
+  // Room for five records: one more append forces a compaction that must
+  // drop exactly the four old ones.
+  PersistStore Store(D.str(), PersistHeaderBytes + 5 * recordBytes());
+  ASSERT_TRUE(opened(Store));
+  ASSERT_EQ(Store.stats().LiveRecords, 8u);
+  Store.append(makeResult(fp(7), 8));
+  EXPECT_EQ(Store.stats().Compactions, 1u);
+  EXPECT_EQ(Store.stats().Evictions, 4u);
+  for (unsigned I = 0; I < 4; ++I) {
+    EXPECT_EQ(Store.lookup(fp(15, char('a' + I))), nullptr) << "old " << I;
+    EXPECT_NE(Store.lookup(fp(0, char('a' + I))), nullptr) << "new " << I;
+  }
+  EXPECT_NE(Store.lookup(fp(7)), nullptr);
+}
+
+TEST(PersistStore, ReplayAfterReopenKeepsNewest) {
+  TempDir D("reopen_replay");
+  appendOldThenNew(D);
+  PersistStore Store(D.str(), 0);
+  ASSERT_TRUE(opened(Store));
+  // A memory tier with room for exactly four of the eight records.
+  JobResult Decoded;
+  ASSERT_TRUE(
+      decodeResultPayload(encodeResultPayload(makeResult(fp(0))), &Decoded));
+  ResultCache Cache(4 * ResultCache::costOf(Decoded.Fingerprint, Decoded));
+  EXPECT_EQ(Store.replayInto(Cache), 8u);
+  EXPECT_EQ(Cache.stats().Entries, 4u);
+  for (unsigned I = 0; I < 4; ++I) {
+    EXPECT_EQ(Cache.lookup(fp(15, char('a' + I))), nullptr) << "old " << I;
+    EXPECT_NE(Cache.lookup(fp(0, char('a' + I))), nullptr) << "new " << I;
+  }
+}
+
+TEST(PersistStore, RepeatedCompactionsEvictInAppendOrder) {
+  TempDir D("two_compactions");
+  PersistStore Store(D.str(), PersistHeaderBytes + 4 * recordBytes(),
+                     /*FlushEvery=*/1);
+  ASSERT_TRUE(opened(Store));
+  // Appended newest-last with falling leading digits: f, e, d, c, 0, 1.
+  const unsigned Leads[] = {15, 14, 13, 12, 0, 1};
+  for (unsigned I = 0; I < 6; ++I)
+    Store.append(makeResult(fp(Leads[I]), I));
+  EXPECT_EQ(Store.stats().Compactions, 2u);
+  EXPECT_EQ(Store.stats().Evictions, 2u);
+  EXPECT_EQ(Store.lookup(fp(15)), nullptr); // First compaction.
+  EXPECT_EQ(Store.lookup(fp(14)), nullptr); // Second compaction.
+  for (unsigned Lead : {13u, 12u, 0u, 1u})
+    EXPECT_NE(Store.lookup(fp(Lead)), nullptr) << "lead " << Lead;
 }
 
 } // namespace

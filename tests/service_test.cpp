@@ -275,6 +275,33 @@ TEST(Protocol, CommandsAndErrors) {
   EXPECT_NE(Error.find("typo_knob"), std::string::npos);
 }
 
+TEST(Protocol, NumericOptionsFollowTheFlagRanges) {
+  auto Parse = [](const std::string &Options, std::string *Error) {
+    return parseRequest(R"({"program":"x := 1;","options":{)" + Options +
+                            "}}",
+                        0, Error);
+  };
+  std::string Error;
+  // A deadline past MaxTimeoutMs would overflow the steady-clock deadline
+  // and time the job out at once; a value past 32 bits would truncate.
+  EXPECT_FALSE(Parse(R"("timeout_ms":9000000000000000000)", &Error));
+  EXPECT_NE(Error.find("timeout_ms"), std::string::npos) << Error;
+  EXPECT_FALSE(Parse(R"("widening_delay":4294967297)", &Error));
+  EXPECT_NE(Error.find("widening_delay"), std::string::npos) << Error;
+  EXPECT_FALSE(Parse(R"("narrowing_passes":4294967296)", &Error));
+  EXPECT_FALSE(Parse(R"("widening_delay":-1)", &Error));
+  EXPECT_FALSE(Parse(R"("widening_delay":1.5)", &Error));
+  EXPECT_FALSE(Parse(R"("poly_max_rows":1e30)", &Error));
+  // The largest accepted values are the flags' ceilings.
+  auto Req = Parse(R"("timeout_ms":1000000000000,"widening_delay":4294967295,)"
+                   R"("narrowing_passes":4294967295)",
+                   &Error);
+  ASSERT_TRUE(Req.has_value()) << Error;
+  EXPECT_EQ(Req->Spec.Opts.TimeoutMs, MaxTimeoutMs);
+  EXPECT_EQ(Req->Spec.Opts.WideningDelay, 4294967295u);
+  EXPECT_EQ(Req->Spec.Opts.NarrowingPasses, 4294967295u);
+}
+
 TEST(Protocol, ResultLineIsStableAndTimingFree) {
   JobResult R;
   R.Id = 3;

@@ -9,13 +9,15 @@ ctest).
 Four checks, all against the built binaries:
 
   1. warm restart   -- cai-batch over a generated corpus with
-     --persist-dir, twice.  The second (cold-process, warm-disk) run must
+     --persist-dir, twice.  The directory must hold exactly one log file
+     (results.log).  The second (cold-process, warm-disk) run must
      replay the log into the memory tier: result lines byte-identical to
      the first run modulo the "cached" flag, stats hit_rate_permille >=
      900, persist.replayed > 0.
-  2. corruption     -- every shard log gets a byte flipped in place; the
-     next run must still exit cleanly with byte-identical results
-     (recomputed, not served wrong) and count persist.corrupt > 0.
+  2. corruption     -- every other record of the log gets a payload byte
+     flipped in place; the next run must still exit cleanly with
+     byte-identical results (recomputed, not served wrong) and count
+     every flipped record in persist.corrupt.
   3. stdio vs TCP   -- the same session over stdin and over a TCP
      connection (--listen) must produce byte-identical response lines.
   4. signal drain   -- SIGTERM to a --listen server with a persist log
@@ -99,6 +101,20 @@ def tcp_session(port, stdin_text, timeout=60):
     return split_lines(data.decode())
 
 
+LOG_NAME = "results.log"
+
+
+def record_payloads(data):
+    """(offset, length) of every record payload in a log file: a 24-byte
+    header, then u32 length | u32 CRC-32 | payload per record."""
+    pos, records = 24, []
+    while pos < len(data):
+        length = int.from_bytes(data[pos:pos + 4], "little")
+        records.append((pos + 8, length))
+        pos += 8 + length
+    return records
+
+
 BATCH_ARGS = ["--gen=10", "--gen-seed=42", "--domain=logical:affine,uf",
               "--repeat=2", "--stats"]
 
@@ -107,6 +123,9 @@ def check_warm_restart(batch, tmpdir):
     before = len(FAILURES)
     pdir = os.path.join(tmpdir, "persist-warm")
     cold = run([batch] + BATCH_ARGS + [f"--persist-dir={pdir}"])
+    files = sorted(os.listdir(pdir)) if os.path.isdir(pdir) else []
+    if files != [LOG_NAME]:
+        fail(f"persist dir holds {files}, expected exactly [{LOG_NAME!r}]")
     warm = run([batch] + BATCH_ARGS + [f"--persist-dir={pdir}"])
     for tag, proc in (("cold", cold), ("warm", warm)):
         if proc.returncode not in (0, 1):
@@ -143,21 +162,18 @@ def check_warm_restart(batch, tmpdir):
 def check_corruption(batch, tmpdir, cold_lines):
     before = len(FAILURES)
     pdir = os.path.join(tmpdir, "persist-warm")
-    flipped = 0
-    for name in sorted(os.listdir(pdir)):
-        path = os.path.join(pdir, name)
-        size = os.path.getsize(path)
-        if size <= 40:  # Header-only shard: nothing to corrupt.
-            continue
-        with open(path, "r+b") as f:
-            f.seek(40)
-            byte = f.read(1)
-            f.seek(40)
-            f.write(bytes([byte[0] ^ 0x55]))
-            flipped += 1
-    if flipped == 0:
-        fail("no shard file was large enough to corrupt")
+    path = os.path.join(pdir, LOG_NAME)
+    with open(path, "rb") as f:
+        data = bytearray(f.read())
+    victims = record_payloads(data)[::2]
+    if len(victims) < 2:
+        fail(f"log holds too few records to corrupt: {len(victims)}")
         return
+    for offset, length in victims:
+        data[offset + length // 2] ^= 0x55
+    with open(path, "wb") as f:
+        f.write(data)
+    flipped = len(victims)
     proc = run([batch] + BATCH_ARGS + [f"--persist-dir={pdir}"])
     if proc.returncode not in (0, 1):
         fail(f"corrupted-log run crashed (exit {proc.returncode}): "
@@ -177,11 +193,11 @@ def check_corruption(batch, tmpdir, cold_lines):
     stats = json.loads(next(l for l in split_lines(proc.stderr)
                             if is_stats(l)))
     corrupt = stats.get("persist", {}).get("corrupt", 0)
-    if corrupt < 1:
-        fail(f"corrupted shards not counted in persist.corrupt: "
+    if corrupt < flipped:
+        fail(f"{flipped} flipped records but persist.corrupt is {corrupt}: "
              f"{stats.get('persist')}")
     if len(FAILURES) == before:
-        ok(f"{flipped} flipped shards -> {corrupt} corrupt records "
+        ok(f"{flipped} flipped records -> {corrupt} corrupt records "
            f"skipped, results identical")
 
 
