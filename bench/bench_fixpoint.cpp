@@ -92,8 +92,6 @@ void BM_FixpointProductOnly(benchmark::State &State) {
   State.counters["verified"] = Verified;
   State.counters["assertions"] = static_cast<double>(W.Kinds.size());
   State.counters["cache_hit_rate"] = LastStats.cacheHitRate();
-  State.counters["transfer_hits"] =
-      static_cast<double>(LastStats.TransferCacheHits);
   State.counters["wto_components"] =
       static_cast<double>(LastStats.WtoComponents);
 }

@@ -9,31 +9,10 @@
 #include "obs/Metrics.h"
 #include "obs/Provenance.h"
 #include "obs/Trace.h"
-#include "support/QueryCache.h"
+#include "support/Cancel.h"
 #include "term/StateCodec.h"
 
 using namespace cai;
-
-namespace {
-
-/// Memoization key for one edge transfer: the edge index plus the input
-/// state.  Within a run the action of an edge is fixed, so (edge, input)
-/// determines the output.
-struct EdgeStateKey {
-  size_t EdgeIdx;
-  Conjunction In;
-  bool operator==(const EdgeStateKey &RHS) const {
-    return EdgeIdx == RHS.EdgeIdx && In == RHS.In;
-  }
-};
-struct EdgeStateHash {
-  size_t operator()(const EdgeStateKey &K) const {
-    return static_cast<size_t>(K.In.fingerprint() * 0x9e3779b97f4a7c15ull ^
-                               K.EdgeIdx);
-  }
-};
-
-} // namespace
 
 bool Analyzer::expressible(Term T) const {
   switch (T->kind()) {
@@ -82,7 +61,7 @@ Conjunction Analyzer::transfer(const Action &Act, const Conjunction &In) const {
       if (Known && AllArgs)
         Usable.add(A);
     }
-    return Lattice.meetCached(In, Usable);
+    return Lattice.meet(In, Usable);
   }
 
   case ActionKind::Assign:
@@ -100,7 +79,7 @@ Conjunction Analyzer::transfer(const Action &Act, const Conjunction &In) const {
     // The shadow variable is deterministic per assigned variable ('$'
     // names are reserved for the library, so it cannot collide with a
     // program variable, and quantification guarantees it never escapes
-    // the result).  A fresh variable per call would defeat transfer
+    // the result).  A fresh variable per call would defeat quantification
     // memoization: identical (action, input) pairs must build identical
     // intermediate conjunctions.
     Term X = Act.Var;
@@ -168,40 +147,22 @@ AnalysisResult Analyzer::run(const Program &P) const {
   std::vector<bool> Marked(P.numNodes(), false);
   Marked[P.entry()] = true;
 
-  // Per-run transfer memo: (edge, input state) -> output state.  Pays off
-  // whenever a node is re-processed with an unchanged invariant (sibling
-  // contributions, narrowing passes).
-  QueryCache<EdgeStateKey, Conjunction, EdgeStateHash> TransferCache;
-  auto TransferCached = [&](size_t EdgeIdx, const Action &Act,
-                            const Conjunction &In) {
+  // Evaluates one edge's transfer function and counts it.
+  auto Transfer = [&](const Action &Act, const Conjunction &In) {
     CAI_TRACE_SPAN("edge.transfer", "transfer");
     ++Result.Stats.EdgeEvals;
-    // Count at the request level, not inside transfer(): the statistic
-    // must not depend on cache hit patterns (bottom inputs short-circuit
-    // before doing any work, so they never counted).
     if (!In.isBottom() &&
         (Act.Kind == ActionKind::Assign || Act.Kind == ActionKind::Havoc))
       ++Result.Stats.Transfers;
-    if (!Opts.Memoize)
-      return transfer(Act, In);
-    EdgeStateKey K{EdgeIdx, In};
-    if (const Conjunction *Hit = TransferCache.lookup(K))
-      return *Hit;
-    Conjunction Out = transfer(Act, In);
-    TransferCache.insert(std::move(K), Out);
-    return Out;
+    return transfer(Act, In);
   };
 
-  // Cooperative cancellation: checked at step boundaries only, so every
-  // lattice operation completes and the partial state stays well-formed.
-  // The clock read costs ~20ns against step costs in the microseconds.
-  const bool HasDeadline =
-      Opts.Deadline != std::chrono::steady_clock::time_point{};
-  auto CancelRequested = [&] {
-    if (Opts.CancelFlag && Opts.CancelFlag->load(std::memory_order_relaxed))
-      return true;
-    return HasDeadline && std::chrono::steady_clock::now() >= Opts.Deadline;
-  };
+  // Cooperative cancellation: checked at step boundaries, and inside
+  // lattice operations at the cancel points the scope reaches
+  // (support/Cancel.h), which unwind a step to ApplyEdge, the narrowing
+  // passes or the assertion checks.  The clock read costs ~20ns against
+  // step costs in the microseconds.
+  CancelScope Cancel(Opts.CancelFlag, Opts.Deadline);
 
   // Propagates one edge from \p State into its target; returns true when
   // the target's state changed.  Shared verbatim between element stages
@@ -209,9 +170,9 @@ AnalysisResult Analyzer::run(const Program &P) const {
   // policy.  During a stage, StageCapPtr records update-cap hits for the
   // element's snapshot record.
   bool *StageCapPtr = nullptr;
-  auto ApplyEdge = [&](size_t EdgeIdx, const Conjunction &State) {
+  auto Propagate = [&](size_t EdgeIdx, const Conjunction &State) {
     const Edge &E = P.edges()[EdgeIdx];
-    Conjunction Out = TransferCached(EdgeIdx, E.Act, State);
+    Conjunction Out = Transfer(E.Act, State);
     Conjunction &Target = Result.Invariants[E.To];
 
     Conjunction Next;
@@ -232,7 +193,7 @@ AnalysisResult Analyzer::run(const Program &P) const {
       CAI_TRACE_SPAN("lattice.widen", "lattice");
       obs::ProvenanceScope PS(E.To, Updates[E.To] + 1,
                               obs::ProvenanceRecorder::Step::Widen);
-      Next = Lattice.widenCached(Target, Out);
+      Next = Lattice.widen(Target, Out);
       obs::diffStep(Lattice, Target, &Out, Next);
     } else {
       ++Result.Stats.Joins;
@@ -266,6 +227,15 @@ AnalysisResult Analyzer::run(const Program &P) const {
     }
     Target = std::move(Next);
     return true;
+  };
+  // A cancelled step leaves its target's state as it was.
+  auto ApplyEdge = [&](size_t EdgeIdx, const Conjunction &State) {
+    try {
+      return Propagate(EdgeIdx, State);
+    } catch (const OperationCancelled &) {
+      Result.Cancelled = true;
+      return false;
+    }
   };
 
   // Stage worklist, shared across elements: keyed by WTO position so
@@ -304,25 +274,6 @@ AnalysisResult Analyzer::run(const Program &P) const {
         else
           Ok = false;
       }
-      std::vector<std::pair<size_t, Conjunction>> Outs;
-      if (Ok && Opts.Memoize) {
-        Outs.reserve(R.FinalOuts.size());
-        for (const auto &[EdgeIdx, Enc] : R.FinalOuts) {
-          unsigned FromPos = EdgeIdx < P.edges().size()
-                                 ? Wto.position(P.edges()[EdgeIdx].From)
-                                 : 0;
-          if (EdgeIdx >= P.edges().size() || FromPos < S || FromPos >= End) {
-            Ok = false;
-            break;
-          }
-          std::optional<Conjunction> C = codec::decodeConjunction(Ctx, Enc);
-          if (!C) {
-            Ok = false;
-            break;
-          }
-          Outs.emplace_back(EdgeIdx, std::move(*C));
-        }
-      }
       if (Ok) {
         for (unsigned Pos = S; Pos < End; ++Pos)
           Result.Invariants[Order[Pos]] = std::move(Finals[Pos - S]);
@@ -341,10 +292,6 @@ AnalysisResult Analyzer::run(const Program &P) const {
         // Fast-forward fresh naming past the replayed stage so live work
         // downstream draws exactly the names a from-scratch run would.
         Ctx.setFreshCounter(std::max(Ctx.freshCounter(), R.FreshCounterAfter));
-        for (auto &[EdgeIdx, Out] : Outs)
-          TransferCache.insert(
-              EdgeStateKey{EdgeIdx, Result.Invariants[P.edges()[EdgeIdx].From]},
-              std::move(Out));
         ++Result.Stats.ComponentsReused;
         if (Opts.SnapshotOut) {
           ComponentRecord Copy = R;
@@ -370,7 +317,7 @@ AnalysisResult Analyzer::run(const Program &P) const {
         if (Marked[Order[Pos]])
           Enqueue(Order[Pos]);
       while (!Worklist.empty()) {
-        if (CancelRequested()) {
+        if (Cancel.requested()) {
           Result.Cancelled = true;
           break;
         }
@@ -401,26 +348,6 @@ AnalysisResult Analyzer::run(const Program &P) const {
         for (unsigned Pos = S; Pos < End; ++Pos)
           R.FinalStates.push_back(
               codec::encodeConjunction(Ctx, Result.Invariants[Order[Pos]]));
-        if (Opts.Memoize) {
-          // Harvest the element's internal-edge outputs at their final
-          // input states straight from the cache (lookup only: computing
-          // a missing entry here would perturb the counters a
-          // non-recording run reports).
-          for (unsigned Pos = S; Pos < End; ++Pos) {
-            NodeId N = Order[Pos];
-            if (Result.Invariants[N].isBottom())
-              continue;
-            for (size_t EdgeIdx : Succs[N]) {
-              unsigned TPos = Wto.position(P.edges()[EdgeIdx].To);
-              if (TPos < S || TPos >= End)
-                continue;
-              if (const Conjunction *Out = TransferCache.lookup(
-                      EdgeStateKey{EdgeIdx, Result.Invariants[N]}))
-                R.FinalOuts.emplace_back(EdgeIdx,
-                                         codec::encodeConjunction(Ctx, *Out));
-            }
-          }
-        }
         R.Joins = Result.Stats.Joins - Before.Joins;
         R.Widenings = Result.Stats.Widenings - Before.Widenings;
         R.Transfers = Result.Stats.Transfers - Before.Transfers;
@@ -450,7 +377,7 @@ AnalysisResult Analyzer::run(const Program &P) const {
         unsigned TPos = Wto.position(E.To);
         if (TPos >= S && TPos < End)
           continue; // Internal: the stage already propagated it.
-        if (CancelRequested()) {
+        if (Cancel.requested()) {
           Result.Cancelled = true;
           break;
         }
@@ -467,70 +394,78 @@ AnalysisResult Analyzer::run(const Program &P) const {
   // recompute each node's input and meet it with the current state.  Both
   // operands over-approximate the concrete states at the node, so the meet
   // does too; this recovers constraints the widening threw away.
-  for (unsigned Pass = 0; Pass < Opts.NarrowingPasses && !Result.Cancelled;
-       ++Pass) {
-    CAI_TRACE_SPAN_ARGS("analyzer.narrowing-pass", "analyzer",
-                        {"pass", std::to_string(Pass)});
-    std::vector<Conjunction> Inputs(P.numNodes(), Conjunction::bottom());
-    Inputs[P.entry()] = Conjunction::top();
-    for (size_t EdgeIdx = 0; EdgeIdx < P.edges().size(); ++EdgeIdx) {
-      if (CancelRequested()) {
-        Result.Cancelled = true;
+  try {
+    for (unsigned Pass = 0; Pass < Opts.NarrowingPasses && !Result.Cancelled;
+         ++Pass) {
+      CAI_TRACE_SPAN_ARGS("analyzer.narrowing-pass", "analyzer",
+                          {"pass", std::to_string(Pass)});
+      std::vector<Conjunction> Inputs(P.numNodes(), Conjunction::bottom());
+      Inputs[P.entry()] = Conjunction::top();
+      for (size_t EdgeIdx = 0; EdgeIdx < P.edges().size(); ++EdgeIdx) {
+        if (Cancel.requested()) {
+          Result.Cancelled = true;
+          break;
+        }
+        const Edge &E = P.edges()[EdgeIdx];
+        Conjunction Out = Transfer(E.Act, Result.Invariants[E.From]);
+        if (Out.isBottom())
+          continue;
+        if (Inputs[E.To].isBottom()) {
+          Inputs[E.To] = std::move(Out);
+        } else {
+          ++Result.Stats.Joins;
+          Inputs[E.To] = Lattice.joinCached(Inputs[E.To], Out);
+        }
+      }
+      // A partially accumulated Inputs vector is missing edge
+      // contributions, so meeting with it would under-approximate: discard
+      // the interrupted pass entirely.
+      if (Result.Cancelled)
         break;
+      bool Changed = false;
+      for (NodeId N = 0; N < P.numNodes(); ++N) {
+        Conjunction Refined = Lattice.meet(Result.Invariants[N], Inputs[N]);
+        if (Refined != Result.Invariants[N]) {
+          Result.Invariants[N] = std::move(Refined);
+          Changed = true;
+        }
       }
-      const Edge &E = P.edges()[EdgeIdx];
-      Conjunction Out =
-          TransferCached(EdgeIdx, E.Act, Result.Invariants[E.From]);
-      if (Out.isBottom())
-        continue;
-      if (Inputs[E.To].isBottom()) {
-        Inputs[E.To] = std::move(Out);
-      } else {
-        ++Result.Stats.Joins;
-        Inputs[E.To] = Lattice.joinCached(Inputs[E.To], Out);
-      }
+      if (!Changed)
+        break;
     }
-    // A partially accumulated Inputs vector is missing edge
-    // contributions, so meeting with it would under-approximate: discard
-    // the interrupted pass entirely.
-    if (Result.Cancelled)
-      break;
-    bool Changed = false;
-    for (NodeId N = 0; N < P.numNodes(); ++N) {
-      Conjunction Refined = Lattice.meetCached(Result.Invariants[N], Inputs[N]);
-      if (Refined != Result.Invariants[N]) {
-        Result.Invariants[N] = std::move(Refined);
-        Changed = true;
-      }
-    }
-    if (!Changed)
-      break;
+  } catch (const OperationCancelled &) {
+    Result.Cancelled = true;
   }
 
+  if (!Result.Cancelled) {
+    CAI_TRACE_SPAN("analyzer.check-assertions", "analyzer");
+    try {
+      for (const Assertion &A : P.assertions()) {
+        AssertionVerdict V;
+        V.Label = A.Label;
+        const Conjunction &Inv = Result.Invariants[A.Node];
+        V.Verified = Inv.isBottom() || Lattice.entailsCached(Inv, A.Fact);
+        ++Result.Stats.EntailmentChecks;
+        Result.Assertions.push_back(std::move(V));
+      }
+    } catch (const OperationCancelled &) {
+      Result.Cancelled = true;
+    }
+  }
   if (Result.Cancelled) {
     // The truncated invariants under-approximate reachable states, so no
     // verdict derived from them is trustworthy: report every assertion
     // unverified and flag the run.
     Result.Converged = false;
+    Result.Assertions.clear();
     for (const Assertion &A : P.assertions())
       Result.Assertions.push_back({A.Label, false});
-  } else {
-    CAI_TRACE_SPAN("analyzer.check-assertions", "analyzer");
-    for (const Assertion &A : P.assertions()) {
-      AssertionVerdict V;
-      V.Label = A.Label;
-      const Conjunction &Inv = Result.Invariants[A.Node];
-      V.Verified = Inv.isBottom() || Lattice.entailsCached(Inv, A.Fact);
-      ++Result.Stats.EntailmentChecks;
-      Result.Assertions.push_back(std::move(V));
-    }
   }
 
   LatticeStats Delta = Lattice.statsSnapshot() - StatsBefore;
   Result.Stats.CacheHits = Delta.CacheHits;
   Result.Stats.CacheMisses = Delta.CacheMisses;
   Result.Stats.SaturationRounds = Delta.SaturationRounds;
-  Result.Stats.TransferCacheHits = TransferCache.counters().Hits;
 
   // Publish the run's counters into the global metrics registry -- the
   // machine-readable export every driver (--metrics-out, the benches, the
@@ -542,8 +477,6 @@ AnalysisResult Analyzer::run(const Program &P) const {
   CAI_METRIC_ADD("analyzer.edge_evals", Result.Stats.EdgeEvals);
   CAI_METRIC_ADD("analyzer.entailment_checks", Result.Stats.EntailmentChecks);
   CAI_METRIC_ADD("analyzer.node_updates", Result.Stats.TotalNodeUpdates);
-  CAI_METRIC_ADD("analyzer.transfer_cache.hits",
-                 Result.Stats.TransferCacheHits);
   CAI_METRIC_ADD("lattice.cache.hits", Delta.CacheHits);
   CAI_METRIC_ADD("lattice.cache.misses", Delta.CacheMisses);
   CAI_METRIC_ADD("lattice.saturation_rounds", Delta.SaturationRounds);

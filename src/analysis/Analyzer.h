@@ -62,21 +62,22 @@ struct AnalyzerOptions {
   /// count; refinements need one pass per node on the chain from the
   /// refined loop head, and the loop stops early once stable.
   unsigned NarrowingPasses = 3;
-  /// Memoize lattice operations (join/meet/entailment/unsat/quantification,
-  /// keyed on canonical conjunction fingerprints) and edge transfers across
-  /// fixpoint iterations.  Analysis results are bit-for-bit identical with
-  /// memoization on or off (the cache-equivalence test enforces this); off
-  /// exists for that test and for measuring the speedup.
+  /// Memoize lattice operations (join, entailment, unsat, quantification
+  /// and implied variable equalities, keyed on canonical conjunction
+  /// fingerprints) across fixpoint iterations.  Analysis results are
+  /// bit-for-bit identical with memoization on or off (the
+  /// cache-equivalence test enforces this); off exists for that test and
+  /// for measuring the speedup.
   bool Memoize = true;
-  /// Cooperative cancellation: when non-null and set, the fixpoint loop
-  /// stops at its next step boundary and the run returns with
-  /// Cancelled = true (Converged = false, every assertion unverified).
-  /// The analysis service points every worker's jobs at a shared shutdown
-  /// flag; nothing is ever killed mid-lattice-operation.
+  /// Cooperative cancellation: when non-null and set, the run stops at its
+  /// next step boundary or cancel point inside a lattice operation
+  /// (support/Cancel.h) and returns with Cancelled = true (Converged =
+  /// false, every assertion unverified).  The analysis service points
+  /// every worker's jobs at a shared shutdown flag.
   const std::atomic<bool> *CancelFlag = nullptr;
-  /// Cooperative deadline: a non-epoch value makes the fixpoint loop
-  /// check the clock at each step boundary and cancel the run once the
-  /// deadline passes (same reporting as CancelFlag).  Drives the per-job
+  /// Cooperative deadline: a non-epoch value makes the run check the
+  /// clock at each step boundary and cancel point and cancel the run once
+  /// the deadline passes (same reporting as CancelFlag).  Drives the per-job
   /// timeout of the service and `cai-analyze --timeout-ms`.
   std::chrono::steady_clock::time_point Deadline{};
   /// Snapshot of a previous run over an earlier version of this program
@@ -97,10 +98,11 @@ struct AnalyzerStats {
   unsigned long Widenings = 0;
   unsigned long Transfers = 0;
   unsigned long EntailmentChecks = 0;
-  /// Edge transfer-function evaluations requested by the fixpoint engine
-  /// (including ones answered by the transfer cache).
+  /// Edge transfer-function evaluations requested by the fixpoint engine.
   unsigned long EdgeEvals = 0;
-  /// Edge transfers answered by the per-run transfer cache.
+  /// Always 0: the per-run transfer cache it counted is gone.  The field
+  /// stays because the persist record carries it (an unchanged record
+  /// format keeps existing logs readable) and the repo benchmark reads it.
   unsigned long TransferCacheHits = 0;
   /// Lattice-operation memo-cache hits/misses over the whole lattice tree
   /// (products include their components), delta over this run.

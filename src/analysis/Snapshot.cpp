@@ -10,10 +10,6 @@ size_t FixpointSnapshot::byteSize() const {
     Bytes += sizeof(ComponentRecord);
     for (const std::string &S : R.FinalStates)
       Bytes += sizeof(std::string) + S.capacity();
-    for (const auto &[Idx, S] : R.FinalOuts) {
-      (void)Idx;
-      Bytes += sizeof(std::pair<size_t, std::string>) + S.capacity();
-    }
   }
   return Bytes;
 }

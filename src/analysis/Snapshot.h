@@ -7,8 +7,9 @@
 /// top-level WTO element (a single node or an outermost component): for
 /// each element the snapshot stores its CFG fingerprints
 /// (ir/CfgFingerprint.h), the stabilized pre-narrowing invariant of every
-/// node, the cached transfer outputs of its internal edges, and the
-/// fixpoint counters its stage contributed.
+/// node, and the fixpoint counters its stage contributed.  Nothing of the
+/// lattice's memo caches is recorded: a replaying run starts them empty,
+/// like any job, and their hit counts are outside the contract below.
 ///
 /// All states are stored in the structural text codec (term/StateCodec.h),
 /// never as live terms: a snapshot outlives the TermContext that produced
@@ -30,7 +31,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace cai {
@@ -47,12 +47,6 @@ struct ComponentRecord {
   /// encoded, indexed by the node's offset within the element in WTO
   /// order.
   std::vector<std::string> FinalStates;
-
-  /// Transfer-cache contents for the element's internal edges at stage
-  /// end: (global edge index, encoded output state).  Re-seeding these on
-  /// reuse lets the first narrowing pass hit the cache exactly as it does
-  /// after a live stage.
-  std::vector<std::pair<size_t, std::string>> FinalOuts;
 
   /// Counter deltas the element's ascending stage contributed; replayed
   /// verbatim on reuse so serialized stats stay byte-identical.

@@ -97,7 +97,7 @@ Conjunction CheckedLattice::join(const Conjunction &A,
 
 Conjunction CheckedLattice::widen(const Conjunction &Old,
                                   const Conjunction &New) const {
-  Conjunction R = Inner.widenCached(Old, New);
+  Conjunction R = Inner.widen(Old, New);
   if (!Enabled)
     return R;
   CAI_METRIC_INC("check.contracts.widen");
@@ -112,7 +112,7 @@ Conjunction CheckedLattice::widen(const Conjunction &Old,
 
 Conjunction CheckedLattice::meet(const Conjunction &A,
                                  const Conjunction &B) const {
-  Conjunction R = Inner.meetCached(A, B);
+  Conjunction R = Inner.meet(A, B);
   if (!Enabled)
     return R;
   CAI_METRIC_INC("check.contracts.meet");

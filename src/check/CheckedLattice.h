@@ -19,9 +19,10 @@
 /// Each check replays the result through the inner lattice's own
 /// entailment, so a violation means the domain disagrees with itself --
 /// strong evidence of a bug regardless of which side is wrong.  Calls are
-/// routed through the inner lattice's *cached* entry points on purpose:
-/// a stale memo entry (the cache returning a value the recomputed
-/// operation would not) surfaces as a contract violation too.
+/// routed through the inner lattice's *cached* entry points where it has
+/// them (widen and meet have none) on purpose: a stale memo entry (the
+/// cache returning a value the recomputed operation would not) surfaces
+/// as a contract violation too.
 ///
 /// Violations are recorded with the active obs::ProvenanceRecorder context
 /// stamped by the fixpoint engine, so a report names the exact CFG node,

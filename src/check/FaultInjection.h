@@ -47,10 +47,10 @@ public:
 
   Conjunction widen(const Conjunction &Old,
                     const Conjunction &New) const override {
-    return Inner.widenCached(Old, New);
+    return Inner.widen(Old, New);
   }
   Conjunction meet(const Conjunction &A, const Conjunction &B) const override {
-    return Inner.meetCached(A, B);
+    return Inner.meet(A, B);
   }
   Conjunction existQuant(const Conjunction &E,
                          const std::vector<Term> &Vars) const override {

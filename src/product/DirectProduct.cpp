@@ -64,5 +64,5 @@ Conjunction DirectProduct::widen(const Conjunction &Old,
     return New;
   if (New.isBottom())
     return Old;
-  return L1.widenCached(Old, New).meet(L2.widenCached(Old, New));
+  return L1.widen(Old, New).meet(L2.widen(Old, New));
 }

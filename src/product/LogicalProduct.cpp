@@ -5,6 +5,7 @@
 #include "obs/Metrics.h"
 #include "obs/Provenance.h"
 #include "obs/Trace.h"
+#include "support/Cancel.h"
 
 #include <algorithm>
 #include <set>
@@ -57,6 +58,10 @@ std::set<Term, TermStructLess> insideVars(const TermContext &Ctx,
 std::shared_ptr<const LogicalProduct::SatEntry>
 LogicalProduct::purifySaturate(const Conjunction &E, bool UseAltCache) const {
   assert(!E.isBottom() && "purifySaturate on bottom");
+  // Every product operation on a non-bottom element passes here, at every
+  // nesting level; a deeply nested product spends seconds in one analyzer
+  // step, so this is where a run's deadline must be seen.
+  cancelPoint();
   auto &Cache = UseAltCache ? SatCacheAlt : SatCache;
   if (memoizationEnabled())
     if (const auto *Hit = Cache.lookup(E)) {
@@ -152,11 +157,11 @@ Conjunction LogicalProduct::combine(const Conjunction &A, const Conjunction &B,
     }
   }
 
-  // Lines 8-9: component-wise join (or widening, Section 4.3), through the
-  // components' memoized entry points.
-  Conjunction E1 = UseWiden ? L1.widenCached(Left1, Right1)
+  // Lines 8-9: component-wise join (through the components' join cache) or
+  // widening (Section 4.3).
+  Conjunction E1 = UseWiden ? L1.widen(Left1, Right1)
                             : L1.joinCached(Left1, Right1);
-  Conjunction E2 = UseWiden ? L2.widenCached(Left2, Right2)
+  Conjunction E2 = UseWiden ? L2.widen(Left2, Right2)
                             : L2.joinCached(Left2, Right2);
   Conjunction E = E1.meet(E2);
 

@@ -47,9 +47,9 @@ struct LatticeStats {
 
 namespace detail {
 
-/// Memoization key for binary conjunction operations (join, widen, meet,
-/// mutual entailment).  Stores both operands in full; the hash buckets by
-/// fingerprint and equality is exact, so collisions are harmless.
+/// Memoization key for joins.  Stores both operands in full; the hash
+/// buckets by fingerprint and equality is exact, so collisions are
+/// harmless.
 struct ConjPairKey {
   Conjunction A, B;
   bool operator==(const ConjPairKey &RHS) const {
@@ -195,11 +195,16 @@ public:
   /// forwards to the virtual operation unconditionally -- the
   /// cache-equivalence test asserts bit-for-bit identical analysis results
   /// either way.
+  ///
+  /// Only operations whose cache pays for itself on a cold run (a fresh
+  /// lattice per job) have one: join, quantification, per-atom entailment,
+  /// unsatisfiability and implied variable equalities.  Widen and meet are
+  /// called directly: on cold runs their caches only added lookups, key
+  /// copies and memory (EXPERIMENTS.md E22).  entailsAllCached is a loop
+  /// over the per-atom and unsat caches.
   /// @{
 
   Conjunction joinCached(const Conjunction &A, const Conjunction &B) const;
-  Conjunction widenCached(const Conjunction &Old, const Conjunction &New) const;
-  Conjunction meetCached(const Conjunction &A, const Conjunction &B) const;
   Conjunction existQuantCached(const Conjunction &E,
                                const std::vector<Term> &Vars) const;
   bool entailsCached(const Conjunction &E, const Atom &A) const;
@@ -241,9 +246,7 @@ private:
 
   mutable bool MemoEnabled = true;
   mutable QueryCache<detail::ConjPairKey, Conjunction, detail::ConjPairHash>
-      JoinCache, WidenCache, MeetCache;
-  mutable QueryCache<detail::ConjPairKey, bool, detail::ConjPairHash>
-      EntailAllCache;
+      JoinCache;
   mutable QueryCache<detail::ConjAtomKey, bool, detail::ConjAtomHash>
       EntailCache;
   mutable QueryCache<Conjunction, bool, ConjunctionHash> UnsatCache;

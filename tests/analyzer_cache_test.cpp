@@ -15,6 +15,7 @@
 #include "domains/poly/PolyDomain.h"
 #include "domains/uf/UFDomain.h"
 #include "ir/ProgramParser.h"
+#include "obs/Metrics.h"
 #include "product/DirectProduct.h"
 #include "product/LogicalProduct.h"
 #include "service/Driver.h"
@@ -97,8 +98,9 @@ TEST(AnalyzerCacheTest, LoopFreeWorkload) {
 }
 
 TEST(AnalyzerCacheTest, MemoizedRunReportsHits) {
-  // Within a single run the narrowing passes re-evaluate stabilized edges,
-  // so the transfer cache must report hits on any looping workload.
+  // Within a single run the narrowing passes re-evaluate stabilized edges
+  // and re-join stable invariants, so on any looping workload the lattice
+  // caches and the product's purify/saturate cache must report hits.
   TermContext Ctx;
   AffineDomain Affine(Ctx);
   UFDomain UF(Ctx);
@@ -107,11 +109,17 @@ TEST(AnalyzerCacheTest, MemoizedRunReportsHits) {
   WorkloadOptions Opts;
   Opts.Seed = 23;
   Workload W = generateWorkload(Ctx, Opts);
+  auto Before = obs::MetricsRegistry::global().counterValues();
   AnalysisResult R = Analyzer(Logical).run(W.P);
-  EXPECT_GT(R.Stats.TransferCacheHits, 0u);
+  auto After = obs::MetricsRegistry::global().counterValues();
+  const char *PurifyHits = "product.purify_saturate.cache_hits";
+  uint64_t Old = Before.count(PurifyHits) ? Before.at(PurifyHits) : 0;
+  uint64_t New = After.count(PurifyHits) ? After.at(PurifyHits) : 0;
+  EXPECT_GT(New, Old);
   EXPECT_GT(R.Stats.CacheHits, 0u);
   EXPECT_GT(R.Stats.cacheHitRate(), 0.0);
   EXPECT_GT(R.Stats.SaturationRounds, 0u);
+  EXPECT_EQ(R.Stats.TransferCacheHits, 0u);
 }
 
 TEST(AnalyzerCacheTest, DifferentialPolyOverTestdata) {

@@ -10,6 +10,8 @@
 
 #include "TestUtil.h"
 
+#include <atomic>
+
 using namespace cai;
 using cai::test::A;
 
@@ -28,6 +30,25 @@ protected:
   AffineDomain Affine{Ctx};
   PolyDomain Poly{Ctx};
   UFDomain UF{Ctx};
+};
+
+/// A logical product that raises the run's cancel flag on entering a join
+/// and counts the joins that still run to completion.
+class CancelOnJoin final : public LogicalProduct {
+public:
+  CancelOnJoin(TermContext &Ctx, const LogicalLattice &A,
+               const LogicalLattice &B, std::atomic<bool> &Flag)
+      : LogicalProduct(Ctx, A, B), Flag(Flag) {}
+
+  Conjunction join(const Conjunction &A, const Conjunction &B) const override {
+    Flag = true;
+    Conjunction R = LogicalProduct::join(A, B);
+    ++Completed;
+    return R;
+  }
+
+  std::atomic<bool> &Flag;
+  mutable unsigned Completed = 0;
 };
 
 } // namespace
@@ -177,4 +198,23 @@ TEST_F(AnalyzerTest, IfElseConditionsRefineBothArms) {
   AnalysisResult R = Analyzer(Poly).run(P);
   // then: x <= 0, y = -x >= 0; else: x >= 1, y = x >= 1.
   EXPECT_TRUE(R.Assertions[0].Verified);
+}
+
+TEST_F(AnalyzerTest, CancelInsideAStepStopsThatStep) {
+  // A cancel request that arrives during a lattice operation stops it at
+  // the product's cancel point, not at the next step boundary: the join
+  // that saw the flag go up never completes.
+  std::atomic<bool> Flag{false};
+  CancelOnJoin Product(Ctx, Affine, UF, Flag);
+  Program P = parse("x := 0; y := F(x); while (*) { x := x + 1; y := F(x); } "
+                    "assert(y = F(x));");
+  AnalyzerOptions Opts;
+  Opts.CancelFlag = &Flag;
+  AnalysisResult R = Analyzer(Product, Opts).run(P);
+  EXPECT_TRUE(Flag.load());
+  EXPECT_EQ(Product.Completed, 0u);
+  EXPECT_TRUE(R.Cancelled);
+  EXPECT_FALSE(R.Converged);
+  ASSERT_EQ(R.Assertions.size(), 1u);
+  EXPECT_FALSE(R.Assertions[0].Verified);
 }

@@ -118,8 +118,8 @@ TEST(CheckedLatticeTest, DirectOperationContracts) {
 
   // join/meet/widen/existQuant on a sound domain: silent.
   Checked.joinCached(A, B);
-  Checked.meetCached(A, B);
-  Checked.widenCached(A, B);
+  Checked.meet(A, B);
+  Checked.widen(A, B);
   Checked.existQuantCached(A, {Ctx.mkVar("x")});
   Checked.impliedVarEqualitiesCached(A);
   EXPECT_TRUE(Checked.violations().empty());

@@ -217,8 +217,9 @@ void expectIdentical(const TermContext &CtxA, const AnalysisResult &A,
         << What << " " << A.Assertions[I].Label;
   }
   // Every replayed counter, not just the serialized surface.  (The memo
-  // caches' hit counters are exempt by design: recording harvests cached
-  // transfer outputs, which is invisible to everything serialized.)
+  // caches' hit counters are exempt by design: a replaying run starts
+  // with empty caches and skips the replayed stages' queries, so its hits
+  // differ from a from-scratch run's; no response line carries them.)
   EXPECT_EQ(A.Stats.Joins, B.Stats.Joins) << What;
   EXPECT_EQ(A.Stats.Widenings, B.Stats.Widenings) << What;
   EXPECT_EQ(A.Stats.Transfers, B.Stats.Transfers) << What;

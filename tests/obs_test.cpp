@@ -296,7 +296,6 @@ TEST_F(ObsTest, RegistryCountersMatchAnalyzerStats) {
   EXPECT_EQ(Delta("analyzer.edge_evals"), R.Stats.EdgeEvals);
   EXPECT_EQ(Delta("analyzer.entailment_checks"), R.Stats.EntailmentChecks);
   EXPECT_EQ(Delta("analyzer.node_updates"), R.Stats.TotalNodeUpdates);
-  EXPECT_EQ(Delta("analyzer.transfer_cache.hits"), R.Stats.TransferCacheHits);
   EXPECT_EQ(Delta("lattice.cache.hits"), R.Stats.CacheHits);
   EXPECT_EQ(Delta("lattice.cache.misses"), R.Stats.CacheMisses);
   EXPECT_EQ(Delta("lattice.saturation_rounds"), R.Stats.SaturationRounds);

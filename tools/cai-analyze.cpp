@@ -260,11 +260,11 @@ int main(int Argc, char **Argv) {
     return 2;
 
   if (R.Cancelled) {
-    // The deadline fired: the engine stopped cleanly at a step boundary,
-    // and the partial invariants are untrustworthy by construction.
+    // The deadline fired: the engine stopped cleanly at a step boundary
+    // or cancel point, and the partial invariants are untrustworthy by
+    // construction.
     std::fprintf(stderr,
-                 "error: analysis exceeded --timeout-ms=%llu "
-                 "(cancelled at a fixpoint step boundary)\n",
+                 "error: analysis exceeded --timeout-ms=%llu (cancelled)\n",
                  static_cast<unsigned long long>(TimeoutMs));
     return 4;
   }
@@ -276,10 +276,10 @@ int main(int Argc, char **Argv) {
               R.Stats.Joins, R.Stats.Widenings, R.Stats.Transfers,
               R.Stats.MaxNodeUpdates);
   if (ShowStats) {
-    std::printf("engine:     %u WTO components, %lu edge evals "
-                "(%lu answered by transfer cache), %lu entailment checks\n",
+    std::printf("engine:     %u WTO components, %lu edge evals, "
+                "%lu entailment checks\n",
                 R.Stats.WtoComponents, R.Stats.EdgeEvals,
-                R.Stats.TransferCacheHits, R.Stats.EntailmentChecks);
+                R.Stats.EntailmentChecks);
     std::printf("memo:       %s, %lu hits / %lu misses (%.1f%% hit rate), "
                 "%lu saturation rounds\n",
                 Opts.Memoize ? "on" : "off", R.Stats.CacheHits,
